@@ -79,22 +79,15 @@ let solve_net ~name ?method_ ?jobs ~lump space =
 
 let pepa_results ~name ~warnings space distribution =
   wrap name (fun () ->
-      let compiled = Pepa.Statespace.compiled space in
       (* Component-state utilisations, one entry per (leaf, local state):
          the measure the Reflector writes onto state diagrams. *)
-      let leaf_labels = Pepa.Compile.leaf_labels compiled in
+      let leaf_labels = Pepa.Compile.leaf_labels (Pepa.Statespace.compiled space) in
       let state_probabilities =
         List.concat
           (List.init (Array.length leaf_labels) (fun leaf ->
-               let component =
-                 compiled.Pepa.Compile.components.(compiled.Pepa.Compile.leaf_component.(leaf))
-               in
-               Array.to_list component.Pepa.Compile.labels
-               |> List.sort_uniq String.compare
-               |> List.map (fun label ->
-                      ( Printf.sprintf "%s.%s" leaf_labels.(leaf) label,
-                        Pepa.Statespace.local_state_probability space distribution ~leaf ~label
-                      ))))
+               List.map
+                 (fun (label, p) -> (Printf.sprintf "%s.%s" leaf_labels.(leaf) label, p))
+                 (Pepa.Statespace.local_marginals space distribution ~leaf)))
       in
       Results.make ~source:name ~kind:Results.Pepa_model
         ~n_states:(Pepa.Statespace.n_states space)
@@ -238,13 +231,4 @@ let fluid_local_probabilities analysis ~leaf =
   Fluid.Vector_form.leaf_proportions analysis.form analysis.populations ~leaf
 
 let local_probabilities analysis ~leaf =
-  let compiled = Pepa.Statespace.compiled analysis.space in
-  let component =
-    compiled.Pepa.Compile.components.(compiled.Pepa.Compile.leaf_component.(leaf))
-  in
-  Array.to_list component.Pepa.Compile.labels
-  |> List.sort_uniq String.compare
-  |> List.map (fun label ->
-         ( label,
-           Pepa.Statespace.local_state_probability analysis.space analysis.distribution ~leaf
-             ~label ))
+  Pepa.Statespace.local_marginals analysis.space analysis.distribution ~leaf

@@ -227,7 +227,9 @@ val net_fluid_results :
 
 val local_probabilities : pepa_analysis -> leaf:int -> (string * float) list
 (** Distribution over the local derivative states of one sequential
-    component (used to reflect state-diagram probabilities). *)
+    component (used to reflect state-diagram probabilities): a read of
+    the {!Pepa.Statespace.local_marginals} table, which {!pepa_results}
+    has already filled for the analysis' distribution. *)
 
 val fluid_local_probabilities : fluid_analysis -> leaf:int -> (string * float) list
 (** Fluid counterpart of {!local_probabilities}: the marginal

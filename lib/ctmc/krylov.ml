@@ -103,14 +103,23 @@ let bicgstab ?initial ?pool ~tolerance ~max_iterations c =
      residual stalls around 1e-4 at 10^6 states; the triangular solve
      clusters it near 1.  Sequential by construction, so bitwise
      identical at every jobs count.  A zero diagonal (absorbing state
-     in a malformed chain) degrades to the identity on that row. *)
+     in a malformed chain) degrades to the identity on that row.
+     Columns ascend within a CSR row, so the strictly lower part is the
+     row's prefix and the diagonal follows it: the loop stops there
+     and reads nothing past it.  It indexes the CSR arrays directly,
+     as a closure over the [acc] ref would box a float per nonzero. *)
+  let row_ptr = qt.Sparse.row_ptr and col_index = qt.Sparse.col_index in
+  let values = qt.Sparse.values in
   let precond z v =
     for i = 0 to n - 1 do
       let acc = ref v.(i) in
-      let diag = ref 0.0 in
-      Sparse.iter_row qt i (fun j a ->
-          if j < i then acc := !acc -. (a *. z.(j)) else if j = i then diag := a);
-      z.(i) <- (if !diag <> 0.0 then !acc /. !diag else !acc)
+      let k = ref row_ptr.(i) and stop = row_ptr.(i + 1) in
+      while !k < stop && col_index.(!k) < i do
+        acc := !acc -. (values.(!k) *. z.(col_index.(!k)));
+        incr k
+      done;
+      let diag = if !k < stop && col_index.(!k) = i then values.(!k) else 0.0 in
+      z.(i) <- (if diag <> 0.0 then !acc /. diag else !acc)
     done
   in
   let x =

@@ -107,6 +107,10 @@ let solve_direct options c =
 (* Iterative methods on Q^T pi = 0                                  *)
 (* --------------------------------------------------------------- *)
 
+(* The sweeps below read the CSR arrays of [qt] directly rather than
+   through [Sparse.iter_row]: without flambda a closure that updates a
+   captured float ref boxes a float on every nonzero. *)
+
 let check_no_absorbing c =
   for i = 0 to Ctmc.n_states c - 1 do
     if Ctmc.is_absorbing c i then
@@ -201,10 +205,15 @@ let solve_jacobi ?initial ?pool options c =
   let omega = 0.5 in
   (* Jacobi rows read only the previous candidate, so splitting rows
      across domains changes nothing in the arithmetic. *)
+  let row_ptr = qt.Sparse.row_ptr and col_index = qt.Sparse.col_index in
+  let values = qt.Sparse.values in
   let row_range lo hi ~pi ~work =
     for i = lo to hi - 1 do
       let off = ref 0.0 in
-      Sparse.iter_row qt i (fun j v -> if j <> i then off := !off +. (v *. pi.(j)));
+      for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+        let j = col_index.(k) in
+        if j <> i then off := !off +. (values.(k) *. pi.(j))
+      done;
       work.(i) <- ((1.0 -. omega) *. pi.(i)) +. (omega *. (!off /. Ctmc.exit_rate c i))
     done
   in
@@ -227,10 +236,15 @@ let solve_relaxed ?initial ~method_ options c omega =
   check_no_absorbing c;
   let qt = Ctmc.generator_transposed c in
   let n = Ctmc.n_states c in
+  let row_ptr = qt.Sparse.row_ptr and col_index = qt.Sparse.col_index in
+  let values = qt.Sparse.values in
   let sweep ~pi ~work:_ =
     for i = 0 to n - 1 do
       let off = ref 0.0 in
-      Sparse.iter_row qt i (fun j v -> if j <> i then off := !off +. (v *. pi.(j)));
+      for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+        let j = col_index.(k) in
+        if j <> i then off := !off +. (values.(k) *. pi.(j))
+      done;
       let gs = !off /. Ctmc.exit_rate c i in
       pi.(i) <- if omega = 1.0 then gs else ((1.0 -. omega) *. pi.(i)) +. (omega *. gs)
     done

@@ -112,6 +112,6 @@ val leaf_pop : t -> leaf:int -> int
 val leaf_proportions : t -> float array -> leaf:int -> (string * float) list
 (** Local-state distribution of the given leaf's population, labelled
     by local-state label only — the fluid analogue of
-    {!Pepa.Statespace.local_state_probability} over one component. *)
+    {!Pepa.Statespace.local_marginals}. *)
 
 val pp_summary : Format.formatter -> t -> unit

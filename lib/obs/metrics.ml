@@ -143,6 +143,17 @@ let snapshot () =
         series_data = ordered all_series series_order series_points;
       })
 
+(* Only the atomics: what [diff_snapshots] reads, at a cost that does
+   not grow with the series points a long-lived process accumulates. *)
+let scalar_snapshot () =
+  locked (fun () ->
+      {
+        counters = ordered counters counter_order value;
+        gauges = ordered gauges gauge_order gauge_value;
+        histograms = [];
+        series_data = [];
+      })
+
 (* Counter deltas between two snapshots: the scoping primitive for
    per-request attribution in a long-running process, where [reset]
    would also zero the cumulative totals the live metrics endpoint

@@ -64,12 +64,19 @@ type snapshot = {
 val snapshot : unit -> snapshot
 (** Every registered metric, each kind in registration order. *)
 
+val scalar_snapshot : unit -> snapshot
+(** Counters and gauges as {!snapshot} reports them, with histograms and
+    series left empty.  The bracket to use around {!diff_snapshots},
+    which reads only those two kinds: its cost is independent of how
+    many series points the process has accumulated. *)
+
 val diff_snapshots : snapshot -> snapshot -> snapshot
 (** [diff_snapshots before after] scopes the registry to one unit of
-    work bracketed by two {!snapshot} calls: counters are the
-    per-counter difference [after - before] (clamped at zero; counters
-    that did not move are dropped), gauges are [after]'s values for
-    gauges that changed, and histograms/series — whose per-window
+    work bracketed by two {!scalar_snapshot} (or {!snapshot}) calls:
+    counters are the per-counter difference [after - before] (clamped
+    at zero; counters that did not move are dropped), gauges are
+    [after]'s values for gauges that changed, and histograms/series —
+    whose per-window
     semantics are not subtractive — are empty.  A long-running process
     (the daemon) uses this to attribute counter increments to one
     request without {!reset}ting the cumulative totals its live

@@ -23,6 +23,8 @@ type t = {
   mutable outgoing_cache : transition list array option;
   mutable chain : Markov.Ctmc.t option;
   mutable lump : Markov.Lump.t option;
+  mutable marginals : (float array * (string * float) list array) option;
+      (* the marginal table of the last distribution asked about *)
 }
 
 (* Destination in the low 48 bits, action id in the bits above:
@@ -350,6 +352,7 @@ let build ?(max_states = 1_000_000) ?(symmetry = false) ?jobs compiled =
     outgoing_cache = None;
     chain = None;
     lump = None;
+    marginals = None;
   })
 
 let of_model ?max_states ?symmetry ?jobs model =
@@ -454,7 +457,8 @@ let release_derived t =
   t.transition_cache <- None;
   t.outgoing_cache <- None;
   t.chain <- None;
-  t.lump <- None
+  t.lump <- None;
+  t.marginals <- None
 
 (* The lump partition's classes must keep every reported measure exact
    under uniform disaggregation.  Ordinary lumpability alone guarantees
@@ -467,9 +471,9 @@ let release_derived t =
      permutations are chain automorphisms), so spreading a class mass
      uniformly is exact per state;
    - otherwise, each state's per-leaf local-label vector: classes are
-     then homogeneous in the indicator of every [local_state_probability]
-     query, so those measures (and all fluxes) survive even though
-     merged states may have unequal probabilities.
+     then homogeneous in the indicator of every local-state label, so
+     the [local_marginals] (and all fluxes) survive even though merged
+     states may have unequal probabilities.
 
    On a space already built with [~symmetry:true] the stored vectors are
    themselves canonical, the orbit keys are distinct per state, and the
@@ -605,27 +609,89 @@ let throughputs t pi =
          | None -> None)
        (List.init (Array.length t.actions) Fun.id))
 
-let local_state_probability t pi ~leaf ~label =
-  (* Under symmetry reduction a single leaf's column of the canonical
-     vectors is not its true marginal (canonicalisation shuffles values
-     across the orbit), but the orbit-count is permutation-invariant, so
-     averaging over the leaf's orbit recovers the exact measure.  With
-     trivial symmetry the orbit is the singleton [leaf] and this is the
-     plain sum. *)
-  let orbit = Symmetry.orbit t.symmetry leaf in
-  let scale = 1.0 /. float_of_int (Array.length orbit) in
-  let total = ref 0.0 in
+(* Every leaf's local-state marginals in one pass over the packed
+   states.  Under symmetry reduction a single leaf's column of the
+   canonical vectors is not its true marginal (canonicalisation shuffles
+   values across the orbit), but the orbit-count is permutation
+   invariant, so averaging over the leaf's orbit recovers the exact
+   measure; with trivial symmetry every orbit is a singleton.  Leaves of
+   one orbit share one accumulator per label, and each state adds
+   [pi.(i) *. float hits *. scale] to it only when [hits > 0] — the same
+   float sequence, accumulator by accumulator, as summing each
+   (leaf, label) separately, so the table is bit-identical to that
+   O(labels x states) computation at O(states x leaves) cost. *)
+let marginal_table t pi =
+  let compiled = t.compiled in
+  let n_leaves = Array.length compiled.Compile.leaf_component in
+  let labels leaf =
+    compiled.Compile.components.(compiled.Compile.leaf_component.(leaf)).Compile.labels
+  in
+  (* Orbits partition the leaves; each is listed once, by its smallest
+     member. *)
+  let orbits =
+    List.init n_leaves (Symmetry.orbit t.symmetry)
+    |> List.filteri (fun leaf members -> Array.fold_left min leaf members = leaf)
+    |> Array.of_list
+  in
+  let orbit_of = Array.make n_leaves 0 in
+  Array.iteri (fun o members -> Array.iter (fun j -> orbit_of.(j) <- o) members) orbits;
+  (* Labels interned per orbit: [label_id.(o).(m).(local)] is the id of
+     the label of local state [local] of the orbit's [m]-th member. *)
+  let ids = Array.map (fun _ -> Hashtbl.create 16) orbits in
+  let intern o label =
+    match Hashtbl.find_opt ids.(o) label with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length ids.(o) in
+        Hashtbl.add ids.(o) label id;
+        id
+  in
+  let label_id =
+    Array.mapi (fun o members -> Array.map (fun j -> Array.map (intern o) (labels j)) members) orbits
+  in
+  let acc = Array.map (fun tbl -> Array.make (Hashtbl.length tbl) 0.0) ids in
+  let scale = Array.map (fun members -> 1.0 /. float_of_int (Array.length members)) orbits in
+  let hits = Array.make (Array.fold_left (fun m a -> max m (Array.length a)) 0 acc) 0 in
   let key_size = Statekey.size t.codec in
   let vec = Array.make (Statekey.n_fields t.codec) 0 in
   for i = 0 to t.n_states - 1 do
     Statekey.unpack_into t.codec t.packed (i * key_size) vec;
-    let hits = ref 0 in
-    Array.iter
-      (fun j -> if Compile.local_label t.compiled ~leaf:j ~local:vec.(j) = label then incr hits)
-      orbit;
-    if !hits > 0 then total := !total +. (pi.(i) *. float_of_int !hits *. scale)
+    let p = pi.(i) in
+    for o = 0 to Array.length orbits - 1 do
+      let members = orbits.(o) and ids = label_id.(o) and a = acc.(o) in
+      for m = 0 to Array.length members - 1 do
+        let id = ids.(m).(vec.(members.(m))) in
+        hits.(id) <- hits.(id) + 1
+      done;
+      for m = 0 to Array.length members - 1 do
+        let id = ids.(m).(vec.(members.(m))) in
+        let h = hits.(id) in
+        if h > 0 then begin
+          a.(id) <- a.(id) +. (p *. float_of_int h *. scale.(o));
+          hits.(id) <- 0
+        end
+      done
+    done
   done;
-  !total
+  Array.init n_leaves (fun leaf ->
+      let o = orbit_of.(leaf) in
+      Array.to_list (labels leaf)
+      |> List.sort_uniq String.compare
+      |> List.map (fun label -> (label, acc.(o).(Hashtbl.find ids.(o) label))))
+
+let local_marginals t pi ~leaf =
+  let table =
+    match t.marginals with
+    | Some (key, table) when key == pi -> table
+    | _ ->
+        let table = marginal_table t pi in
+        t.marginals <- Some (pi, table);
+        table
+  in
+  table.(leaf)
+
+let local_state_probability t pi ~leaf ~label =
+  Option.value ~default:0.0 (List.assoc_opt label (local_marginals t pi ~leaf))
 
 let pp_summary fmt t =
   Format.fprintf fmt "%d states, %d transitions, %d deadlock state(s)" (n_states t)

@@ -81,8 +81,8 @@ val build : ?max_states:int -> ?symmetry:bool -> ?jobs:int -> Compile.t -> t
     {!Symmetry.canonicalise} before interning, so permutation-equivalent
     states of replicated components collapse to one representative.
     The reduced chain is the exact ordinary lumping of the full one:
-    throughputs are unchanged and {!local_state_probability} averages
-    over the leaf's orbit.  Models without replica groups explore
+    throughputs are unchanged and {!local_marginals} averages over the
+    leaf's orbit.  Models without replica groups explore
     identically (detection is a one-off structural pass).
 
     [jobs] overrides the process-wide [Par.jobs] default.  Above 1,
@@ -181,11 +181,22 @@ val throughputs : t -> float array -> (string * float) list
     pass over the compressed stream for all action types together (the seed
     implementation rescanned the transition list once per name). *)
 
+val local_marginals : t -> float array -> leaf:int -> (string * float) list
+(** The leaf's distribution over the distinct local-state labels of its
+    component, sorted by label: the probability that the leaf sits in a
+    local state with that label (a component-state "utilisation"
+    measure).  On a symmetry-reduced space each value averages over the
+    leaf's orbit — symmetric replicas share one marginal — so it matches
+    the unreduced model exactly.
+
+    One pass over the packed states fills the table for every leaf at
+    once, in O(states x leaves).  The table of the most recent
+    distribution (compared by physical identity, so the array must not
+    be mutated afterwards) is kept, and asking for each leaf in turn
+    costs that one pass in total. *)
+
 val local_state_probability : t -> float array -> leaf:int -> label:string -> float
-(** Probability that the given leaf component is in the local state with
-    the given label (a component-state "utilisation" measure).  On a
-    symmetry-reduced space this averages over the leaf's orbit —
-    symmetric replicas share one marginal — so the value matches the
-    unreduced model exactly. *)
+(** One entry of {!local_marginals}; 0 for a label the leaf's component
+    does not have. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -159,7 +159,7 @@ let emit_ledger t (outcome : Engine.outcome) before =
   match t.config.ledger with
   | None -> ()
   | Some path -> (
-      let scoped = Obs.Metrics.diff_snapshots before (Obs.Metrics.snapshot ()) in
+      let scoped = Obs.Metrics.diff_snapshots before (Obs.Metrics.scalar_snapshot ()) in
       try
         Obs.Ledger.emit_now ~path ~tool:outcome.Engine.tool
           ~model:outcome.Engine.model_name ~model_hash:outcome.Engine.model_hash
@@ -177,7 +177,7 @@ let process t payload =
       Protocol.Error_response
         { code = 1; message = Printf.sprintf "error: invalid request: %s\n" msg }
   | request ->
-      let before = Obs.Metrics.snapshot () in
+      let before = Obs.Metrics.scalar_snapshot () in
       let outcome =
         if effective_jobs request > 1 && not (Atomic.get t.stop) then
           submit_to_main t (fun () -> Engine.handle t.engine request)

@@ -106,6 +106,51 @@ let test_series_order () =
         [ (0.0, 1.0); (8.0, 0.5); (16.0, 0.25) ]
         (M.series_points s))
 
+(* Bracket some work that moves counters, gauges, a histogram and a
+   series; the scalar snapshots must scope it exactly as full ones. *)
+let test_scalar_snapshot_scopes_like_full () =
+  with_collection (fun () ->
+      let c = M.counter "test.scoped.counter" and g = M.gauge "test.scoped.gauge" in
+      let s = M.series "test.scoped.series" in
+      M.add c 3;
+      M.set g 1.5;
+      M.push s ~x:0.0 ~y:1.0;
+      let full_before = M.snapshot () and scalar_before = M.scalar_snapshot () in
+      M.add c 4;
+      M.set g 2.5;
+      M.incr (M.counter "test.scoped.fresh");
+      M.observe (M.histogram "test.scoped.histogram") 1.0;
+      M.push s ~x:1.0 ~y:0.5;
+      let full = M.diff_snapshots full_before (M.snapshot ()) in
+      let scalar = M.diff_snapshots scalar_before (M.scalar_snapshot ()) in
+      Alcotest.(check (list (pair string int))) "same scoped counters" full.M.counters
+        scalar.M.counters;
+      Alcotest.(check (list (pair string (float 0.0)))) "same scoped gauges" full.M.gauges
+        scalar.M.gauges;
+      Alcotest.(check (list (pair string int)))
+        "only the moved counters"
+        [ ("test.scoped.counter", 4); ("test.scoped.fresh", 1) ]
+        (List.filter (fun (name, _) -> String.starts_with ~prefix:"test.scoped" name)
+           scalar.M.counters))
+
+let test_scalar_snapshot_has_no_series () =
+  with_collection (fun () ->
+      let s = M.series "test.scalar.series" in
+      for i = 1 to 100 do
+        M.push s ~x:(float_of_int i) ~y:1.0
+      done;
+      M.observe (M.histogram "test.scalar.histogram") 1.0;
+      M.incr (M.counter "test.scalar.counter");
+      M.set (M.gauge "test.scalar.gauge") 2.0;
+      let full = M.snapshot () and scalar = M.scalar_snapshot () in
+      Alcotest.(check bool) "the full snapshot copies the series" true (full.M.series_data <> []);
+      Alcotest.(check int) "no series" 0 (List.length scalar.M.series_data);
+      Alcotest.(check int) "no histograms" 0 (List.length scalar.M.histograms);
+      Alcotest.(check (list (pair string int))) "counters as in full" full.M.counters
+        scalar.M.counters;
+      Alcotest.(check (list (pair string (float 0.0)))) "gauges as in full" full.M.gauges
+        scalar.M.gauges)
+
 let test_disabled_is_noop () =
   fresh ();
   (* Collection off: spans vanish, metric mutations do not stick. *)
@@ -254,4 +299,8 @@ let suite =
     Alcotest.test_case "json parser edges" `Quick test_json_parser_rejects_garbage;
     Alcotest.test_case "pipeline metrics match results" `Quick test_pipeline_metrics_agree;
     Alcotest.test_case "run report capture" `Quick test_report_capture;
+    Alcotest.test_case "scalar snapshot scopes like a full one" `Quick
+      test_scalar_snapshot_scopes_like_full;
+    Alcotest.test_case "scalar snapshot carries no series" `Quick
+      test_scalar_snapshot_has_no_series;
   ]
