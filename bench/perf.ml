@@ -76,9 +76,10 @@ type agg = {
   divergence : float;
 }
 
-(* The same exact (un-aggregated) pipeline rerun on a domain pool:
-   exploration, CSR assembly and a Jacobi solve all parallelise, so the
-   block measures the end-to-end multicore story.  The solve method is
+(* The same exact (un-aggregated) pipeline rerun with a domain pool:
+   exploration and CSR assembly rerun sequentially and the Jacobi solve
+   runs on the pool, so the block measures the end-to-end multicore
+   story.  The solve method is
    pinned to Jacobi on both sides of the comparison — Gauss-Seidel (the
    auto choice) stays sequential by design — so [par_speedup] is a
    like-for-like jobs=N versus jobs=1 ratio and [par_divergence] only
@@ -184,12 +185,12 @@ let pepa_row n =
       Pepa.Statespace.release_derived space_a;
       let space_p, par_build_s =
         time ~attrs "bench.pepa.build_par" (fun _ ->
-            Pepa.Statespace.of_string ~jobs:par_jobs (replicated_model n))
+            Pepa.Statespace.of_string (replicated_model n))
       in
       let chain_p, par_assemble_s =
         time ~attrs "bench.pepa.assemble_par" (fun _ ->
             let chain = Pepa.Statespace.ctmc space_p in
-            ignore (Markov.Ctmc.generator_transposed ~jobs:par_jobs chain);
+            ignore (Markov.Ctmc.generator_transposed chain);
             chain)
       in
       let (pi_p, stats_p), par_solve_s =
@@ -299,12 +300,12 @@ let net_row k =
       Pepanet.Net_statespace.release_derived space_a;
       let space_p, par_build_s =
         time ~attrs "bench.net.build_par" (fun _ ->
-            Pepanet.Net_statespace.build ~jobs:par_jobs compiled)
+            Pepanet.Net_statespace.build compiled)
       in
       let chain_p, par_assemble_s =
         time ~attrs "bench.net.assemble_par" (fun _ ->
             let chain = Pepanet.Net_statespace.ctmc space_p in
-            ignore (Markov.Ctmc.generator_transposed ~jobs:par_jobs chain);
+            ignore (Markov.Ctmc.generator_transposed chain);
             chain)
       in
       let (pi_p, stats_p), par_solve_s =
@@ -371,8 +372,8 @@ let net_row k =
 (* Three stations of capacity c give (c+1)^3 states — a slowly-mixing
    chain where the stationary methods need thousands of sweeps, which
    is exactly the regime BiCGStab is for.  The family sweeps capacity
-   up to 99 (a million states), built with the packed-key parallel
-   explorer and solved exactly with BiCGStab on the domain pool.  Up to
+   up to 99 (a million states), built with the packed-key explorer
+   and solved exactly with BiCGStab on the domain pool.  Up to
    the capacity bound below, a sequential Gauss-Seidel solve of the
    same chain cross-checks the steady vector to 1e-10. *)
 
@@ -408,12 +409,12 @@ let tandem_row capacity =
   let source = Scenarios.Tandem.source ~stations:tandem_stations ~capacity in
   let space, build_s =
     time ~attrs "bench.tandem.build" (fun _ ->
-        Pepa.Statespace.of_string ~max_states:1_100_000 ~jobs:par_jobs source)
+        Pepa.Statespace.of_string ~max_states:1_100_000 source)
   in
   let chain, assemble_s =
     time ~attrs "bench.tandem.assemble" (fun _ ->
         let chain = Pepa.Statespace.ctmc space in
-        ignore (Markov.Ctmc.generator_transposed ~jobs:par_jobs chain);
+        ignore (Markov.Ctmc.generator_transposed chain);
         chain)
   in
   (* Cross-checked instances solve to the default 1e-12 so the
@@ -1199,7 +1200,7 @@ let () =
      pipeline must reproduce the sequential state space exactly and the
      steady vector to 1e-10 on every instance. *)
   if !par_states_mismatch then begin
-    Printf.eprintf "error: parallel exploration produced a different state space\n%!";
+    Printf.eprintf "error: parallel rerun produced a different state space\n%!";
     exit 1
   end;
   if !max_par_divergence > 1e-10 then begin

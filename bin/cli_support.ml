@@ -4,37 +4,15 @@
 
 open Cmdliner
 
+(* The option grammars and their error wording live in
+   [Service.Protocol], which the daemon decodes the same values with;
+   its [Protocol_error] becomes cmdliner's parse error. *)
+let protocol_conv parse print =
+  let parse s = try Ok (parse s) with Service.Protocol.Protocol_error m -> Error (`Msg m) in
+  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (print v))
+
 let method_conv =
-  let parse = function
-    | "direct" -> Ok (Some Markov.Steady.Direct)
-    | "jacobi" -> Ok (Some Markov.Steady.Jacobi)
-    | "gauss-seidel" | "gs" -> Ok (Some Markov.Steady.Gauss_seidel)
-    | "power" -> Ok (Some Markov.Steady.Power)
-    | "bicgstab" -> Ok (Some Markov.Steady.Bicgstab)
-    | "auto" -> Ok None
-    | other -> (
-        (* "sor" or "sor:<omega>", omega in (0, 2); plain "sor" uses a
-           mild over-relaxation. *)
-        match String.split_on_char ':' other with
-        | [ "sor" ] -> Ok (Some (Markov.Steady.Sor 1.2))
-        | [ "sor"; omega ] -> (
-            match float_of_string_opt omega with
-            | Some w when w > 0.0 && w < 2.0 -> Ok (Some (Markov.Steady.Sor w))
-            | Some _ | None ->
-                Error (`Msg (Printf.sprintf "SOR relaxation %s outside (0, 2)" omega)))
-        | _ ->
-            Error
-              (`Msg
-                (Printf.sprintf
-                   "unknown method %s (valid: auto, direct, jacobi, gauss-seidel, \
-                    sor[:omega], power, bicgstab)"
-                   other)))
-  in
-  let print fmt m =
-    Format.pp_print_string fmt
-      (match m with None -> "auto" | Some m -> Markov.Steady.method_name m)
-  in
-  Arg.conv (parse, print)
+  protocol_conv Service.Protocol.method_of_string Service.Protocol.method_to_string
 
 let method_arg =
   Arg.(
@@ -77,43 +55,20 @@ let aggregate_arg =
 (* ------------------------------------------------------------------ *)
 
 let fluid_conv =
-  let parse s =
-    let bad () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "invalid fluid tolerances %s (valid: RTOL or RTOL,ATOL with both positive, \
-              e.g. 1e-8 or 1e-8,1e-12)"
-             s))
-    in
-    let positive v = match float_of_string_opt v with Some f when f > 0.0 -> Some f | _ -> None in
-    match String.split_on_char ',' s with
-    | [ rtol ] -> (
-        match positive rtol with
-        | Some r -> Ok { Fluid.Rk45.default_tolerances with Fluid.Rk45.rtol = r }
-        | None -> bad ())
-    | [ rtol; atol ] -> (
-        match (positive rtol, positive atol) with
-        | Some r, Some a -> Ok { Fluid.Rk45.rtol = r; atol = a }
-        | _ -> bad ())
-    | _ -> bad ()
-  in
-  let print fmt t =
-    Format.fprintf fmt "%g,%g" t.Fluid.Rk45.rtol t.Fluid.Rk45.atol
-  in
-  Arg.conv (parse, print)
+  protocol_conv Service.Protocol.fluid_of_string Service.Protocol.fluid_to_string
 
 let fluid_arg =
   Arg.(
     value
-    & opt ~vopt:(Some Fluid.Rk45.default_tolerances) (some fluid_conv) None
+    & opt ~vopt:(Some Fluid.Rk45.default_tolerances) fluid_conv None
     & info [ "fluid" ] ~docv:"RTOL[,ATOL]"
         ~doc:
           "Solve PEPA models and PEPA nets by the fluid-flow ODE approximation \
            (population model + adaptive RK45) instead of a discrete solve, at a cost \
            independent of replica and token counts.  The optional value sets the \
            integrator's relative (and absolute) local-error tolerances, default \
-           $(b,1e-8,1e-12).  Results are the deterministic population limit — \
+           $(b,1e-8,1e-12); $(b,--fluid=off) is the exact solve, as when the flag is \
+           absent.  Results are the deterministic population limit — \
            asymptotically exact as populations grow, not an exact solve — and are \
            labelled as approximations everywhere they are reported.  Models with \
            passive cooperation, and nets with mixed transition priorities, have no \
@@ -144,12 +99,14 @@ let jobs_arg =
     & opt jobs_conv 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Number of domains (OS threads) for state-space exploration, CSR assembly and \
-           the parallel iterative solvers.  $(b,1) (the default) keeps every phase on \
-           the exact sequential path; $(b,0) auto-detects the machine's core count.  \
-           Results are deterministic at any job count: state numbering and transition \
-           order are identical to the sequential run, and steady-state probabilities \
-           agree to within the solver tolerance.")
+          "Number of domains (OS threads) for the iterative steady-state solvers \
+           ($(b,jacobi), $(b,power) and $(b,bicgstab)) on chains of 4096 states or \
+           more.  Everything else (parsing, state-space exploration, CSR assembly, \
+           Gauss-Seidel, SOR and the direct solver) is sequential at any job count.  \
+           $(b,1) (the default) keeps the solve sequential; $(b,0) auto-detects the \
+           machine's core count.  Results are deterministic at any job count: \
+           BiCGStab is bitwise identical to the sequential run, and Jacobi and power \
+           probabilities agree to within the solver tolerance.")
 
 let print_fluid_stats (stats : Fluid.Rk45.stats) =
   Printf.eprintf "%s%!" (Choreographer.Render.fluid_stats_line stats)

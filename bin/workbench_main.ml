@@ -81,11 +81,11 @@ let statespace_cmd =
   let limit_arg =
     Arg.(value & opt int 200 & info [ "limit" ] ~docv:"N" ~doc:"Print at most N states.")
   in
-  let run jobs path net limit aggregate =
+  let run _jobs path net limit aggregate =
     let symmetry = Markov.Lump.symmetry_enabled aggregate in
     handle_errors (fun () ->
         if is_net_file path net then begin
-          let space = Pepanet.Net_statespace.of_file ~symmetry ~jobs path in
+          let space = Pepanet.Net_statespace.of_file ~symmetry path in
           Format.printf "%a@." Pepanet.Net_statespace.pp_summary space;
           for i = 0 to min (limit - 1) (Pepanet.Net_statespace.n_markings space - 1) do
             Printf.printf "M%-4d %s\n" i (Pepanet.Net_statespace.marking_label space i)
@@ -93,7 +93,7 @@ let statespace_cmd =
         end
         else begin
           let space =
-            Pepa.Statespace.of_string ~symmetry ~jobs
+            Pepa.Statespace.of_string ~symmetry
               (In_channel.with_open_bin path In_channel.input_all)
           in
           Format.printf "%a@." Pepa.Statespace.pp_summary space;
@@ -109,8 +109,6 @@ let statespace_cmd =
       $ Cli_support.aggregate_arg)
 
 let check_cmd =
-  (* Exploration picks the job count up from the process-wide default
-     set by the shared setup term. *)
   let run _jobs path net =
     handle_errors (fun () ->
         if is_net_file path net then begin

@@ -28,11 +28,12 @@ type options = {
           PEPA nets fall back to the exact solve with a warning.
           Default [None]. *)
   jobs : int option;
-      (** domain count for state-space exploration, CSR assembly and
-          the iterative solvers of every extracted model; [Some 0]
-          auto-detects, [None] (the default) leaves the process-wide
-          [Par.jobs] setting in charge.  Results are deterministic and
-          agree with a sequential run. *)
+      (** domain count for the iterative solvers (Jacobi, Power,
+          BiCGStab) of every extracted model — the only parallel
+          stage; exploration and assembly are always sequential.
+          [Some 0] auto-detects, [None] (the default) leaves the
+          process-wide [Par.jobs] setting in charge.  Results are
+          deterministic and agree with a sequential run. *)
 }
 
 val default_options : options

@@ -65,11 +65,11 @@ let compile_pepa ~name model =
 
 let compile_net ~name net = wrap name (fun () -> Pepanet.Net_compile.compile net)
 
-let pepa_space ~name ?max_states ?jobs ~symmetry compiled =
-  wrap name (fun () -> Pepa.Statespace.build ?max_states ?jobs ~symmetry compiled)
+let pepa_space ~name ?max_states ?jobs:_ ~symmetry compiled =
+  wrap name (fun () -> Pepa.Statespace.build ?max_states ~symmetry compiled)
 
-let net_space ~name ?max_markings ?jobs ~symmetry compiled =
-  wrap name (fun () -> Pepanet.Net_statespace.build ?max_markings ?jobs ~symmetry compiled)
+let net_space ~name ?max_markings ?jobs:_ ~symmetry compiled =
+  wrap name (fun () -> Pepanet.Net_statespace.build ?max_markings ~symmetry compiled)
 
 let solve_pepa ~name ?method_ ?jobs ~lump space =
   wrap name (fun () -> Pepa.Statespace.steady_state ?method_ ?jobs ~lump space)
@@ -138,7 +138,7 @@ let analyse_pepa ?(name = "model") ?method_ ?max_states ?(aggregate = Markov.Lum
     (fun _ ->
       let compiled, warnings = compile_pepa ~name model in
       let space =
-        pepa_space ~name ?max_states ?jobs
+        pepa_space ~name ?max_states
           ~symmetry:(Markov.Lump.symmetry_enabled aggregate)
           compiled
       in
@@ -203,7 +203,7 @@ let analyse_net ?(name = "net") ?method_ ?max_markings ?(aggregate = Markov.Lump
     (fun _ ->
       let compiled = compile_net ~name net in
       let net_space =
-        net_space ~name ?max_markings ?jobs
+        net_space ~name ?max_markings
           ~symmetry:(Markov.Lump.symmetry_enabled aggregate)
           compiled
       in

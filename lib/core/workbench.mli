@@ -62,10 +62,12 @@ val analyse_pepa :
     every local-state label, so nothing the disaggregated solution is
     read for depends on how mass is spread within a class.
 
-    [jobs] overrides the process-wide [Par.jobs] default for the build
-    and the solve; results are deterministic and agree with a
-    sequential run (state numbering exactly, probabilities to well
-    under 1e-10). *)
+    [jobs] overrides the process-wide [Par.jobs] default for the
+    iterative solvers (Jacobi, Power, BiCGStab), the only stage that
+    runs in parallel; exploration and assembly are sequential at every
+    job count.  Results are deterministic and agree with a sequential
+    run (probabilities to well under 1e-10, bitwise for BiCGStab and
+    Gauss–Seidel). *)
 
 val analyse_pepa_string :
   ?name:string ->
@@ -181,13 +183,16 @@ val pepa_space :
   name:string -> ?max_states:int -> ?jobs:int -> symmetry:bool -> Pepa.Compile.t ->
   Pepa.Statespace.t
 (** The reachable state space; [symmetry] is
-    [Markov.Lump.symmetry_enabled aggregate].  Independent of [jobs]
-    (deterministic numbering), so a cache may serve a space built at
-    any job count. *)
+    [Markov.Lump.symmetry_enabled aggregate].  Exploration is
+    sequential: [?jobs] is accepted and unused, kept only for the
+    callers that still pass it.  A cache may therefore serve a space to
+    a request at any job count. *)
 
 val net_space :
   name:string -> ?max_markings:int -> ?jobs:int -> symmetry:bool -> Pepanet.Net_compile.t ->
   Pepanet.Net_statespace.t
+(** As {!pepa_space}, for PEPA nets; [?jobs] is likewise accepted and
+    unused. *)
 
 val solve_pepa :
   name:string -> ?method_:Markov.Steady.method_ -> ?jobs:int -> lump:bool ->

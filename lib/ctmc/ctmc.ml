@@ -95,14 +95,14 @@ let neg_exit c = Array.map (fun e -> -.e) c.exit
 
 let generator c = Sparse.add_diagonal c.rates (neg_exit c)
 
-let generator_transposed ?jobs c =
+let generator_transposed ?jobs:_ c =
   match c.transposed with
   | Some m -> m
   | None ->
       let m =
         Obs.Span.with_ "ctmc.transpose" (fun span ->
             Obs.Span.add_int span "states" c.n;
-            Sparse.transpose_add_diagonal ?jobs c.rates (neg_exit c))
+            Sparse.transpose_add_diagonal c.rates (neg_exit c))
       in
       c.transposed <- Some m;
       m

@@ -37,7 +37,9 @@ val generator : t -> Sparse.t
 
 val generator_transposed : ?jobs:int -> t -> Sparse.t
 (** [Q] transposed; the orientation iterative solvers consume.  Computed
-    once and cached. *)
+    once and cached, sequentially.  [?jobs] is accepted and unused: the
+    assembly has no parallel path, and the label stays only for the
+    callers that still pass it. *)
 
 val exit_rate : t -> int -> float
 (** Total outgoing rate of a state (0 for an absorbing state). *)

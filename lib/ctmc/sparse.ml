@@ -6,140 +6,14 @@ type t = {
   values : float array;
 }
 
-(* Below this many entries the domain-pool dispatch costs more than the
-   counting sort itself; both assembly and transpose fall back to the
-   sequential code. *)
-let par_threshold = 1 lsl 15
-
-(* Fixed block grid for the parallel counting sorts: block [b] of [w]
-   covers [b * n / w, (b + 1) * n / w).  Purely a function of (n, w),
-   which keeps the stable scatter deterministic. *)
-let block_bounds ~blocks n b = (b * n / blocks, (b + 1) * n / blocks)
-
 (* Array-based CSR assembly: counting sort by row, per-row column sort,
    in-place duplicate merge.  O(nnz + n_rows) time, no intermediate
    lists.  This is the hot construction path; [of_triplets] is a thin
-   wrapper over it.  The parallel variant produces bitwise-identical
-   output: the per-block scatter is stable (blocks are input ranges in
-   order), so every row segment holds its entries in input order and
-   the duplicate sums happen in the same order as sequentially. *)
-
-(* Sort one row segment by column (stable insertion sort: the scatter
-   preserves input order, so near-sorted input is linear) and merge
-   duplicate columns by summation to the front of the segment.
-   Returns the compacted length. *)
-let sort_and_merge_row row_ptr col_index vals i =
-  let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
-  for k = lo + 1 to hi - 1 do
-    let c = col_index.(k) and v = vals.(k) in
-    let p = ref k in
-    while !p > lo && col_index.(!p - 1) > c do
-      col_index.(!p) <- col_index.(!p - 1);
-      vals.(!p) <- vals.(!p - 1);
-      decr p
-    done;
-    col_index.(!p) <- c;
-    vals.(!p) <- v
-  done;
-  let w = ref lo in
-  for k = lo to hi - 1 do
-    if !w > lo && col_index.(!w - 1) = col_index.(k) then
-      vals.(!w - 1) <- vals.(!w - 1) +. vals.(k)
-    else begin
-      if !w < k then begin
-        col_index.(!w) <- col_index.(k);
-        vals.(!w) <- vals.(k)
-      end;
-      incr w
-    end
-  done;
-  !w - lo
-
-let of_arrays_par p ~n_rows ~n_cols ~rows ~cols ~values =
-  let nnz_in = Array.length rows in
-  let blocks = Par.Pool.size p in
-  let counts = Array.init blocks (fun _ -> Array.make n_rows 0) in
-  let first_bad = Array.make blocks max_int in
-  (* Per-block validation + row counts. *)
-  Par.parallel_chunks p ~chunk:1 ~lo:0 ~hi:blocks (fun ~chunk:_ b _ ->
-      let lo, hi = block_bounds ~blocks nnz_in b in
-      let count = counts.(b) in
-      (try
-         for k = lo to hi - 1 do
-           let i = rows.(k) and j = cols.(k) in
-           if i < 0 || i >= n_rows || j < 0 || j >= n_cols then begin
-             first_bad.(b) <- k;
-             raise Exit
-           end;
-           count.(i) <- count.(i) + 1
-         done
-       with Exit -> ()))
-  |> ignore;
-  let bad = Array.fold_left min max_int first_bad in
-  if bad < max_int then
-    invalid_arg
-      (Printf.sprintf "Sparse.of_arrays: index (%d, %d) out of range" rows.(bad)
-         cols.(bad));
-  (* Interleaved prefix sum: row_ptr plus a scatter cursor for every
-     (block, row) pair, giving each block a disjoint, in-order slice of
-     each row segment. *)
-  let row_ptr = Array.make (n_rows + 1) 0 in
-  let run = ref 0 in
-  for i = 0 to n_rows - 1 do
-    row_ptr.(i) <- !run;
-    for b = 0 to blocks - 1 do
-      let c = counts.(b).(i) in
-      counts.(b).(i) <- !run;
-      run := !run + c
-    done
-  done;
-  row_ptr.(n_rows) <- !run;
-  let col_index = Array.make nnz_in 0 in
-  let vals = Array.make nnz_in 0.0 in
-  Par.parallel_chunks p ~chunk:1 ~lo:0 ~hi:blocks (fun ~chunk:_ b _ ->
-      let lo, hi = block_bounds ~blocks nnz_in b in
-      let cursor = counts.(b) in
-      for k = lo to hi - 1 do
-        let i = rows.(k) in
-        let pos = cursor.(i) in
-        col_index.(pos) <- cols.(k);
-        vals.(pos) <- values.(k);
-        cursor.(i) <- pos + 1
-      done)
-  |> ignore;
-  (* Per-row sort + duplicate merge, rows split across workers. *)
-  let row_len = Array.make n_rows 0 in
-  Par.parallel_for p ~lo:0 ~hi:n_rows (fun lo hi ->
-      for i = lo to hi - 1 do
-        row_len.(i) <- sort_and_merge_row row_ptr col_index vals i
-      done);
-  let total = Array.fold_left ( + ) 0 row_len in
-  if total = nnz_in then { n_rows; n_cols; row_ptr; col_index; values = vals }
-  else begin
-    (* Duplicates were merged: gather the compacted segments. *)
-    let new_ptr = Array.make (n_rows + 1) 0 in
-    for i = 0 to n_rows - 1 do
-      new_ptr.(i + 1) <- new_ptr.(i) + row_len.(i)
-    done;
-    let out_cols = Array.make total 0 in
-    let out_vals = Array.make total 0.0 in
-    Par.parallel_for p ~lo:0 ~hi:n_rows (fun lo hi ->
-        for i = lo to hi - 1 do
-          Array.blit col_index row_ptr.(i) out_cols new_ptr.(i) row_len.(i);
-          Array.blit vals row_ptr.(i) out_vals new_ptr.(i) row_len.(i)
-        done);
-    { n_rows; n_cols; row_ptr = new_ptr; col_index = out_cols; values = out_vals }
-  end
-
+   wrapper over it. *)
 let of_arrays ~n_rows ~n_cols ~rows ~cols ~values =
   let nnz_in = Array.length rows in
   if Array.length cols <> nnz_in || Array.length values <> nnz_in then
     invalid_arg "Sparse.of_arrays: column arrays of different lengths";
-  (* All parameters are labeled, so a [?jobs] here would be unerasable;
-     assembly consults the process-wide [Par.jobs] default instead. *)
-  match if nnz_in >= par_threshold then Par.pool () else None with
-  | Some p -> of_arrays_par p ~n_rows ~n_cols ~rows ~cols ~values
-  | None ->
   for k = 0 to nnz_in - 1 do
     let i = rows.(k) and j = cols.(k) in
     if i < 0 || i >= n_rows || j < 0 || j >= n_cols then
@@ -334,55 +208,8 @@ let vec_mul x m =
 
 (* Direct CSR transpose: counting sort by column.  The source stores each
    coordinate once, so the result needs no duplicate merge, and scanning
-   rows in order leaves each output row sorted.  The parallel variant
-   splits the source rows into in-order blocks with per-(block, column)
-   cursors from an interleaved prefix sum — same stability argument as
-   [of_arrays_par], so the output is bitwise identical. *)
-let transpose_par p m =
-  let nnz = Array.length m.values in
-  let blocks = Par.Pool.size p in
-  let counts = Array.init blocks (fun _ -> Array.make m.n_cols 0) in
-  Par.parallel_chunks p ~chunk:1 ~lo:0 ~hi:blocks (fun ~chunk:_ b _ ->
-      let lo, hi = block_bounds ~blocks m.n_rows b in
-      let count = counts.(b) in
-      for k = m.row_ptr.(lo) to m.row_ptr.(hi) - 1 do
-        count.(m.col_index.(k)) <- count.(m.col_index.(k)) + 1
-      done)
-  |> ignore;
-  let row_ptr = Array.make (m.n_cols + 1) 0 in
-  let run = ref 0 in
-  for j = 0 to m.n_cols - 1 do
-    row_ptr.(j) <- !run;
-    for b = 0 to blocks - 1 do
-      let c = counts.(b).(j) in
-      counts.(b).(j) <- !run;
-      run := !run + c
-    done
-  done;
-  row_ptr.(m.n_cols) <- !run;
-  let col_index = Array.make nnz 0 in
-  let values = Array.make nnz 0.0 in
-  Par.parallel_chunks p ~chunk:1 ~lo:0 ~hi:blocks (fun ~chunk:_ b _ ->
-      let lo, hi = block_bounds ~blocks m.n_rows b in
-      let cursor = counts.(b) in
-      for i = lo to hi - 1 do
-        for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-          let j = m.col_index.(k) in
-          let pos = cursor.(j) in
-          col_index.(pos) <- i;
-          values.(pos) <- m.values.(k);
-          cursor.(j) <- pos + 1
-        done
-      done)
-  |> ignore;
-  { n_rows = m.n_cols; n_cols = m.n_rows; row_ptr; col_index; values }
-
-let transpose ?jobs m =
-  match
-    if Array.length m.values >= par_threshold then Par.pool ?jobs () else None
-  with
-  | Some p -> transpose_par p m
-  | None ->
+   rows in order leaves each output row sorted. *)
+let transpose m =
   let nnz = Array.length m.values in
   let row_ptr = Array.make (m.n_cols + 1) 0 in
   for k = 0 to nnz - 1 do
@@ -462,58 +289,8 @@ let add_diagonal m d =
    rows.  Output row [j] collects the diagonal (source [j]) and every
    stored [(i, j)] in ascending source order — exactly the order
    [transpose (add_diagonal m d)] would produce, so the fusion is
-   bitwise invisible.  The parallel variant uses the same in-order
-   block scatter as [transpose_par]. *)
-let transpose_add_diagonal_par p m d =
-  let n = m.n_rows in
-  let total = Array.length m.values + count_nonzero d in
-  let blocks = Par.Pool.size p in
-  let counts = Array.init blocks (fun _ -> Array.make n 0) in
-  Par.parallel_chunks p ~chunk:1 ~lo:0 ~hi:blocks (fun ~chunk:_ b _ ->
-      let lo, hi = block_bounds ~blocks n b in
-      let count = counts.(b) in
-      for i = lo to hi - 1 do
-        if d.(i) <> 0.0 then count.(i) <- count.(i) + 1;
-        for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-          count.(m.col_index.(k)) <- count.(m.col_index.(k)) + 1
-        done
-      done)
-  |> ignore;
-  let row_ptr = Array.make (n + 1) 0 in
-  let run = ref 0 in
-  for j = 0 to n - 1 do
-    row_ptr.(j) <- !run;
-    for b = 0 to blocks - 1 do
-      let c = counts.(b).(j) in
-      counts.(b).(j) <- !run;
-      run := !run + c
-    done
-  done;
-  row_ptr.(n) <- !run;
-  let col_index = Array.make total 0 in
-  let values = Array.make total 0.0 in
-  Par.parallel_chunks p ~chunk:1 ~lo:0 ~hi:blocks (fun ~chunk:_ b _ ->
-      let lo, hi = block_bounds ~blocks n b in
-      let cursor = counts.(b) in
-      for i = lo to hi - 1 do
-        if d.(i) <> 0.0 then begin
-          let pos = cursor.(i) in
-          col_index.(pos) <- i;
-          values.(pos) <- d.(i);
-          cursor.(i) <- pos + 1
-        end;
-        for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-          let j = m.col_index.(k) in
-          let pos = cursor.(j) in
-          col_index.(pos) <- i;
-          values.(pos) <- m.values.(k);
-          cursor.(j) <- pos + 1
-        done
-      done)
-  |> ignore;
-  { n_rows = n; n_cols = n; row_ptr; col_index; values }
-
-let transpose_add_diagonal ?jobs m d =
+   bitwise invisible. *)
+let transpose_add_diagonal m d =
   check_square_no_diagonal ~context:"Sparse.transpose_add_diagonal" m d;
   let n = m.n_rows in
   for i = 0 to n - 1 do
@@ -523,38 +300,35 @@ let transpose_add_diagonal ?jobs m d =
     done
   done;
   let total = Array.length m.values + count_nonzero d in
-  match if total >= par_threshold then Par.pool ?jobs () else None with
-  | Some p -> transpose_add_diagonal_par p m d
-  | None ->
-      let row_ptr = Array.make (n + 1) 0 in
-      for k = 0 to Array.length m.values - 1 do
-        row_ptr.(m.col_index.(k) + 1) <- row_ptr.(m.col_index.(k) + 1) + 1
-      done;
-      for i = 0 to n - 1 do
-        if d.(i) <> 0.0 then row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
-      done;
-      for j = 1 to n do
-        row_ptr.(j) <- row_ptr.(j) + row_ptr.(j - 1)
-      done;
-      let cursor = Array.copy row_ptr in
-      let col_index = Array.make total 0 in
-      let values = Array.make total 0.0 in
-      for i = 0 to n - 1 do
-        if d.(i) <> 0.0 then begin
-          let pos = cursor.(i) in
-          col_index.(pos) <- i;
-          values.(pos) <- d.(i);
-          cursor.(i) <- pos + 1
-        end;
-        for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-          let j = m.col_index.(k) in
-          let pos = cursor.(j) in
-          col_index.(pos) <- i;
-          values.(pos) <- m.values.(k);
-          cursor.(j) <- pos + 1
-        done
-      done;
-      { n_rows = n; n_cols = n; row_ptr; col_index; values }
+  let row_ptr = Array.make (n + 1) 0 in
+  for k = 0 to Array.length m.values - 1 do
+    row_ptr.(m.col_index.(k) + 1) <- row_ptr.(m.col_index.(k) + 1) + 1
+  done;
+  for i = 0 to n - 1 do
+    if d.(i) <> 0.0 then row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
+  done;
+  for j = 1 to n do
+    row_ptr.(j) <- row_ptr.(j) + row_ptr.(j - 1)
+  done;
+  let cursor = Array.copy row_ptr in
+  let col_index = Array.make total 0 in
+  let values = Array.make total 0.0 in
+  for i = 0 to n - 1 do
+    if d.(i) <> 0.0 then begin
+      let pos = cursor.(i) in
+      col_index.(pos) <- i;
+      values.(pos) <- d.(i);
+      cursor.(i) <- pos + 1
+    end;
+    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
+      let j = m.col_index.(k) in
+      let pos = cursor.(j) in
+      col_index.(pos) <- i;
+      values.(pos) <- m.values.(k);
+      cursor.(j) <- pos + 1
+    done
+  done;
+  { n_rows = n; n_cols = n; row_ptr; col_index; values }
 
 let diagonal m =
   let n = min m.n_rows m.n_cols in

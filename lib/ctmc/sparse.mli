@@ -25,12 +25,7 @@ val of_arrays :
     every entry in O(nnz), duplicate coordinates are merged by summation
     in place, and no intermediate lists are built.  The input arrays are
     not modified.  Raises [Invalid_argument] if the arrays differ in
-    length or an index is out of range.
-
-    When the process-wide [Par.jobs] default is above 1 and the input
-    is large enough to amortise the dispatch, assembly runs as a
-    stable per-block counting sort on the domain pool; the result is
-    bitwise identical to the sequential build. *)
+    length or an index is out of range. *)
 
 val of_grouped :
   drop_diagonal:bool ->
@@ -84,17 +79,17 @@ val mul_vec_into : ?pool:Par.Pool.t -> t -> float array -> float array -> unit
     workhorse of the iterative solvers' residual checks.  Raises
     [Invalid_argument] on a dimension mismatch.  With [?pool], rows are
     computed in parallel; each row is still one left-to-right dot
-    product, so the result is bitwise identical to sequential. *)
+    product, so the result is bitwise identical to sequential.  This is
+    the only parallel kernel in the module: the iterative solvers pass
+    their pool here, and every construction below is sequential. *)
 
 val vec_mul : float array -> t -> float array
 (** [vec_mul x m] is the vector-matrix product [x m] (row vector times
     matrix), the natural operation for probability vectors. *)
 
-val transpose : ?jobs:int -> t -> t
+val transpose : t -> t
 (** CSR transpose by counting sort on columns: O(nnz + n), no
-    intermediate triplets.  [?jobs] overrides the process-wide default
-    for this call; the parallel transpose is bitwise identical to the
-    sequential one. *)
+    intermediate triplets. *)
 
 val add_diagonal : t -> float array -> t
 (** [add_diagonal m d] is the square matrix [m + diag d], streamed row
@@ -105,13 +100,13 @@ val add_diagonal : t -> float array -> t
     or [m] already stores a diagonal entry (the CTMC rate matrix never
     does). *)
 
-val transpose_add_diagonal : ?jobs:int -> t -> float array -> t
+val transpose_add_diagonal : t -> float array -> t
 (** [transpose_add_diagonal m d] is [transpose (add_diagonal m d)]
     assembled in a single fused counting-sort pass, without
     materialising the intermediate matrix — the construction path for
     transposed CTMC generators, halving peak storage during assembly.
-    Preconditions as for {!add_diagonal}; bitwise identical (at any
-    [jobs] count) to the composed form. *)
+    Preconditions as for {!add_diagonal}; bitwise identical to the
+    composed form. *)
 
 val diagonal : t -> float array
 (** The main diagonal as a dense vector (zero where not stored). *)

@@ -91,9 +91,12 @@ val solve :
     {!Not_solvable} on a dimension mismatch.
 
     [jobs] overrides the process-wide [Par.jobs] default for this
-    solve.  With an effective count above 1 (and a chain large enough
-    to amortise the dispatch), Jacobi and power sweeps, residual
-    measurement and renormalisation run on the domain pool.
+    solve.  The iterative solvers are the only stage of an analysis
+    that [--jobs] parallelises; exploration and CSR assembly are
+    sequential.  With an effective count above 1 (and a chain large
+    enough to amortise the dispatch), Jacobi and power sweeps,
+    residual measurement and renormalisation, and BiCGStab's
+    matrix–vector products and reductions run on the domain pool.
     Gauss-Seidel and SOR propagate new values within a sweep, so their
     sweeps stay sequential regardless of [jobs] and their results are
     bitwise independent of it; parallel Jacobi/power runs agree with

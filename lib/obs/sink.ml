@@ -140,7 +140,7 @@ let metrics_json (m : Metrics.snapshot) =
 (* Prometheus exposition text format                                  *)
 (* ---------------------------------------------------------------- *)
 
-(* Metric names here use dots ("statespace.shard_states"); Prometheus
+(* Metric names here use dots ("statespace.frontier_states"); Prometheus
    names must match [a-zA-Z_:][a-zA-Z0-9_:]*, so anything else maps to
    '_'.  Everything is prefixed with the tool namespace. *)
 let prom_name ?(namespace = "choreographer") name =

@@ -1,7 +1,7 @@
 (** Domain-parallel execution built on the OCaml 5 stdlib only
     ([Domain], [Mutex], [Condition], [Atomic] — no domainslib).
 
-    The module provides three layers:
+    The module provides two layers:
 
     - a reusable {!Pool} of worker domains driven by an epoch /
       condition-variable handshake (no work stealing, no per-task
@@ -9,11 +9,12 @@
     - chunked loop helpers ({!parallel_for}, {!sum_floats}) whose
       floating-point reductions are deterministic for a fixed
       [(range, pool size)] pair because partials are combined in chunk
-      order;
-    - a generic level-synchronous breadth-first {!Explore} engine with
-      hash-sharded dedup tables whose state numbering is exactly the
-      numbering the sequential first-occurrence interning would
-      produce.
+      order.
+
+    Its one consumer is the iterative steady-state solvers: the
+    matrix–vector product ([Markov.Sparse.mul_vec_into]), the BiCGStab
+    reductions and the pooled Jacobi/power sweeps.  State-space
+    exploration and CSR assembly are sequential.
 
     All entry points are coordinator-only: they must be called from the
     domain that owns the pool, never from inside a worker body. *)
@@ -42,26 +43,13 @@ val recommended : unit -> int
 
 module Pool : sig
   type t
-
-  val create : int -> t
-  (** [create size] spawns [size - 1] worker domains; the caller's
-      domain acts as worker [0] during {!run}. Raises
-      [Invalid_argument] if [size < 1]. *)
+  (** [size - 1] worker domains; the caller's domain acts as worker [0]
+      while a loop runs.  The mutex handshake at the end of every batch
+      establishes happens-before, so writes made by workers are visible
+      to the coordinator afterwards.  If any worker raises, one of the
+      raised exceptions is re-raised after all workers finished. *)
 
   val size : t -> int
-
-  val run : t -> (int -> unit) -> unit
-  (** [run pool f] executes [f w] on every worker [w] in
-      [0 .. size - 1] ([f 0] on the calling domain) and returns when
-      all have finished. The mutex handshake at the end of the barrier
-      establishes happens-before, so writes made by workers are visible
-      to the coordinator afterwards. If any worker raises, one of the
-      raised exceptions is re-raised after all workers finished. Not
-      reentrant. *)
-
-  val shutdown : t -> unit
-  (** Join and discard the worker domains. The pool must not be used
-      afterwards. *)
 end
 
 val pool : ?jobs:int -> unit -> Pool.t option
@@ -74,12 +62,10 @@ val pool : ?jobs:int -> unit -> Pool.t option
 (** {1 Chunked loops}
 
     All helpers fall back to a direct in-place call when the range fits
-    a single chunk, so they are safe (just pointless) on tiny inputs. *)
-
-val default_chunk : workers:int -> int -> int
-(** The chunk size used when [?chunk] is omitted: the range is split
-    into at most [4 * workers] chunks. Deterministic in
-    [(workers, range length)]. *)
+    a single chunk, so they are safe (just pointless) on tiny inputs.
+    When [?chunk] is omitted, the range is split into at most
+    [4 * size] chunks, a size deterministic in [(pool size, range
+    length)]. *)
 
 val parallel_for :
   Pool.t -> ?chunk:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
@@ -106,44 +92,3 @@ val sum_floats :
     over the chunk grid, combining partials in chunk order — the result
     is a deterministic function of [(range, chunk size, f)], independent
     of scheduling. *)
-
-(** {1 Level-synchronous exploration} *)
-
-module Explore : sig
-  exception Limit
-  (** Raised (from {!explore}) when the state count would exceed
-      [max_states]; the caller translates it to its domain-specific
-      "too many states" exception. *)
-
-  type 's result = {
-    states : 's array;  (** in deterministic discovery order *)
-    shard_states : int array;  (** final per-shard dedup-table occupancy *)
-    levels : int;  (** number of BFS levels explored *)
-  }
-
-  val explore :
-    pool:Pool.t ->
-    hash:('s -> int) ->
-    equal:('s -> 's -> bool) ->
-    expand:('s -> ('s * 'p) list) ->
-    emit:(src:int -> dst:int -> 'p -> unit) ->
-    ?max_states:int ->
-    ?progress:(states:int -> level:int -> unit) ->
-    's ->
-    's result
-  (** Breadth-first exploration from the initial state. Each BFS level
-      runs in phases separated by pool barriers: parallel successor
-      expansion over frontier chunks (read-only probes of the sharded
-      dedup tables), parallel per-shard interning of this level's new
-      states, then a sequential in-stream-order merge that numbers new
-      states at their first occurrence and calls [emit] once per
-      transition in exactly the order the sequential builder would.
-
-      Determinism contract: [states], the numbering seen by [emit], and
-      the order of [emit] calls are identical to sequential
-      first-occurrence BFS interning, for any pool size and any
-      scheduling. [expand] runs on worker domains and must be thread
-      safe (pure over shared read-only data); exceptions it raises are
-      re-raised at the earliest raising frontier position. [emit] and
-      [progress] run on the coordinator. *)
-end

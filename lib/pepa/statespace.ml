@@ -48,10 +48,6 @@ let transitions_emitted = Obs.Metrics.counter "transitions_emitted"
 let intern_collisions = Obs.Metrics.counter "intern_collisions"
 let canonical_hits = Obs.Metrics.counter "statespace.canonical_hits"
 
-(* Largest per-shard dedup-table occupancy of the most recent parallel
-   build (the PEPA-net builder sets the same gauge). *)
-let shard_states = Obs.Metrics.gauge "statespace.shard_states"
-
 (* Discovered-but-unexpanded states, refreshed while the build runs so
    the background sampler can chart frontier occupancy over time (the
    PEPA-net builder shares the gauge). *)
@@ -76,7 +72,7 @@ let codec_of compiled =
        (fun comp -> Array.length compiled.Compile.components.(comp).Compile.states)
        compiled.Compile.leaf_component)
 
-let build ?(max_states = 1_000_000) ?(symmetry = false) ?jobs compiled =
+let build ?(max_states = 1_000_000) ?(symmetry = false) compiled =
   Obs.Span.with_ "statespace.build" (fun span ->
   let obs_on = Obs.Config.enabled () in
   let progress_every = Obs.Config.progress_interval () in
@@ -208,102 +204,38 @@ let build ?(max_states = 1_000_000) ?(symmetry = false) ?jobs compiled =
         incr n_actions;
         id
   in
-  let pool = Par.pool ?jobs () in
-  let packed_states, n, shard_occupancy =
-    match pool with
-    | None ->
-        ignore (intern (canonical (Compile.initial_state compiled)));
-        let next = ref 0 in
-        while !next < !n_states do
-          let src = !next in
-          if obs_on then begin
-            Obs.Metrics.set frontier_states (float_of_int (!n_states - src));
-            if src > 0 && src mod progress_every = 0 then
-              Obs.Log.progress ~stage:"statespace.build" ~count:src
-                ~detail:
-                  (Printf.sprintf "%d discovered, %d transitions" !n_states !n_transitions)
-          end;
-          let vec = Statekey.unpack_at codec !arena src in
-          List.iter
-            (fun move ->
-              let rate =
-                match move.Semantics.rate with
-                | Rate.Active r -> r
-                | Rate.Passive _ ->
-                    raise
-                      (Passive_transition
-                         {
-                           state = Compile.state_label compiled vec;
-                           action = Action.to_string move.Semantics.action;
-                         })
-              in
-              let dst = intern (canonical (Semantics.apply vec move.Semantics.deltas)) in
-              push src dst rate (intern_action move.Semantics.action))
-            (Semantics.moves compiled vec);
-          incr next
-        done;
-        (Bytes.sub !arena 0 (!n_states * key_size), !n_states, None)
-    | Some p ->
-        (* Frontier-parallel exploration: successor expansion and
-           canonicalisation run on worker domains; the engine's merge
-           step reproduces sequential first-occurrence numbering, so
-           [emit] (transition push + action interning, on the
-           coordinator) sees exactly the sequential stream.  The engine
-           is instantiated at packed keys: its sharded dedup tables and
-           frontiers hold compact [Bytes.t] keys, and vectors exist
-           only transiently inside [expand]. *)
-        let hits_par = Atomic.make 0 in
-        let expand key =
-          let vec = Statekey.unpack codec key in
-          List.map
-            (fun move ->
-              let rate =
-                match move.Semantics.rate with
-                | Rate.Active r -> r
-                | Rate.Passive _ ->
-                    raise
-                      (Passive_transition
-                         {
-                           state = Compile.state_label compiled vec;
-                           action = Action.to_string move.Semantics.action;
-                         })
-              in
-              let dst = Semantics.apply vec move.Semantics.deltas in
-              if use_sym && Symmetry.canonicalise sym dst then Atomic.incr hits_par;
-              (Statekey.pack codec dst, (rate, move.Semantics.action)))
-            (Semantics.moves compiled vec)
+  ignore (intern (canonical (Compile.initial_state compiled)));
+  let next = ref 0 in
+  while !next < !n_states do
+    let src = !next in
+    if obs_on then begin
+      Obs.Metrics.set frontier_states (float_of_int (!n_states - src));
+      if src > 0 && src mod progress_every = 0 then
+        Obs.Log.progress ~stage:"statespace.build" ~count:src
+          ~detail:
+            (Printf.sprintf "%d discovered, %d transitions" !n_states !n_transitions)
+    end;
+    let vec = Statekey.unpack_at codec !arena src in
+    List.iter
+      (fun move ->
+        let rate =
+          match move.Semantics.rate with
+          | Rate.Active r -> r
+          | Rate.Passive _ ->
+              raise
+                (Passive_transition
+                   {
+                     state = Compile.state_label compiled vec;
+                     action = Action.to_string move.Semantics.action;
+                   })
         in
-        let emit ~src ~dst (rate, action) = push src dst rate (intern_action action) in
-        let progress =
-          if obs_on then (
-            (* The callback fires once per BFS level on the coordinator;
-               the next frontier is exactly the states discovered during
-               the level just merged. *)
-            let seen = ref 0 in
-            Some
-              (fun ~states ~level ->
-                Obs.Metrics.set frontier_states (float_of_int (states - !seen));
-                seen := states;
-                if states >= progress_every then
-                  Obs.Log.progress ~stage:"statespace.build" ~count:states
-                    ~detail:
-                      (Printf.sprintf "level %d, %d transitions" level !n_transitions)))
-          else None
-        in
-        let result =
-          try
-            Par.Explore.explore ~pool:p ~hash:Statekey.hash ~equal:Statekey.equal ~expand
-              ~emit ~max_states ?progress
-              (Statekey.pack codec (canonical (Compile.initial_state compiled)))
-          with Par.Explore.Limit -> raise (Too_many_states max_states)
-        in
-        hits := !hits + Atomic.get hits_par;
-        let keys = result.Par.Explore.states in
-        let count = Array.length keys in
-        let packed = Bytes.create (count * key_size) in
-        Array.iteri (fun i k -> Statekey.blit_key codec k packed i) keys;
-        (packed, count, Some result.Par.Explore.shard_states)
-  in
+        let dst = intern (canonical (Semantics.apply vec move.Semantics.deltas)) in
+        push src dst rate (intern_action move.Semantics.action))
+      (Semantics.moves compiled vec);
+    incr next
+  done;
+  let n = !n_states in
+  let packed_states = Bytes.sub !arena 0 (n * key_size) in
   let count = !n_transitions in
   let tr_pack = Array.sub !tr_pack 0 count in
   let tr_rate = Array.sub !tr_rate 0 count in
@@ -324,14 +256,6 @@ let build ?(max_states = 1_000_000) ?(symmetry = false) ?jobs compiled =
     Obs.Span.add_int span "transitions" count;
     Obs.Span.add_int span "intern_collisions" !collisions;
     Obs.Span.add_int span "packed_key_bytes" key_size;
-    Obs.Span.add_int span "jobs"
-      (match pool with Some p -> Par.Pool.size p | None -> 1);
-    (match shard_occupancy with
-    | Some occ ->
-        let biggest = Array.fold_left max 0 occ in
-        Obs.Metrics.set shard_states (float_of_int biggest);
-        Obs.Span.add_int span "shard_states_max" biggest
-    | None -> ());
     if use_sym then begin
       Obs.Metrics.add canonical_hits !hits;
       Obs.Span.add_int span "symmetry_groups" (Symmetry.n_groups sym);
@@ -355,11 +279,11 @@ let build ?(max_states = 1_000_000) ?(symmetry = false) ?jobs compiled =
     marginals = None;
   })
 
-let of_model ?max_states ?symmetry ?jobs model =
-  build ?max_states ?symmetry ?jobs (Compile.of_model model)
+let of_model ?max_states ?symmetry model =
+  build ?max_states ?symmetry (Compile.of_model model)
 
-let of_string ?max_states ?symmetry ?jobs src =
-  build ?max_states ?symmetry ?jobs (Compile.of_string src)
+let of_string ?max_states ?symmetry src =
+  build ?max_states ?symmetry (Compile.of_string src)
 
 let compiled t = t.compiled
 let symmetry t = t.symmetry

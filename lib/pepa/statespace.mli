@@ -48,17 +48,11 @@ val canonical_hits : Obs.Metrics.counter
 (** States rewritten to a previously seen orbit representative during a
     symmetry-reduced build (["statespace.canonical_hits"]). *)
 
-val shard_states : Obs.Metrics.gauge
-(** Largest per-shard dedup-table occupancy of the most recent parallel
-    build (["statespace.shard_states"]); untouched by sequential
-    builds.  Shared with {!Pepanet.Net_statespace.build}. *)
-
 val frontier_states : Obs.Metrics.gauge
 (** Discovered-but-unexpanded states of the build in progress
-    (["statespace.frontier_states"]), refreshed per expansion
-    (sequential) or per BFS level (parallel) so the background sampler
-    can chart frontier occupancy over time.  Shared with
-    {!Pepanet.Net_statespace.build}. *)
+    (["statespace.frontier_states"]), refreshed per expansion so the
+    background sampler can chart frontier occupancy over time.  Shared
+    with {!Pepanet.Net_statespace.build}. *)
 
 val packed_key_bytes : Obs.Metrics.gauge
 (** Bytes per bit-packed state key of the most recent build
@@ -71,7 +65,7 @@ val packed_arena_bytes : Obs.Metrics.gauge
     bytes (["statespace.packed_arena_bytes"]).  Shared with
     {!Pepanet.Net_statespace.build}. *)
 
-val build : ?max_states:int -> ?symmetry:bool -> ?jobs:int -> Compile.t -> t
+val build : ?max_states:int -> ?symmetry:bool -> Compile.t -> t
 (** Explore the full state space (default bound: 1_000_000 states).
     Emits a ["statespace.build"] tracing span, adds to the exploration
     counters, and reports progress every [Obs.Config.progress_interval]
@@ -85,16 +79,11 @@ val build : ?max_states:int -> ?symmetry:bool -> ?jobs:int -> Compile.t -> t
     leaf's orbit.  Models without replica groups explore
     identically (detection is a one-off structural pass).
 
-    [jobs] overrides the process-wide [Par.jobs] default.  Above 1,
-    exploration runs frontier-parallel on the domain pool: successor
-    expansion and canonicalisation are sharded by state hash with
-    per-shard dedup tables, and the merge step preserves sequential
-    first-occurrence numbering — state indices, transition order,
-    symmetry orbits and lump respect keys are identical to a [jobs = 1]
-    build. *)
+    Exploration is sequential breadth-first search: states are numbered
+    in order of first occurrence. *)
 
-val of_model : ?max_states:int -> ?symmetry:bool -> ?jobs:int -> Syntax.model -> t
-val of_string : ?max_states:int -> ?symmetry:bool -> ?jobs:int -> string -> t
+val of_model : ?max_states:int -> ?symmetry:bool -> Syntax.model -> t
+val of_string : ?max_states:int -> ?symmetry:bool -> string -> t
 
 val compiled : t -> Compile.t
 

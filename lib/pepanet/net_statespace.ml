@@ -110,11 +110,10 @@ let canonicalise groups marking =
 (* Bit-packed marking keys: a marking flattens to a vector of bounded
    integers — each cell is [Empty] (0) or [1 + token * family_states +
    state], each static its local state — which {!Pepa.Statekey} packs
-   into a few bytes.  The intern tables (and, under [--jobs], the
-   exploration engine's sharded dedup tables and frontiers) hold these
-   compact keys instead of boxed marking records; the decoded
-   [markings] array survives for the measure layer, which reads
-   individual markings constantly. *)
+   into a few bytes.  The intern table holds these compact keys
+   instead of boxed marking records; the decoded [markings] array
+   survives for the measure layer, which reads individual markings
+   constantly. *)
 type marking_codec = {
   codec : Pepa.Statekey.t;
   cell_states : int array;  (* family local-state count per cell *)
@@ -155,27 +154,9 @@ let encode_into mc vec (marking : Marking.t) =
         | Marking.Empty -> 0
         | Marking.Tok { token; state } -> 1 + (token * mc.cell_states.(cell)) + state))
     marking.Marking.cells;
-  Array.iteri (fun s v -> vec.(mc.mc_cells + s) <- v) marking.Marking.statics;
-  ()
+  Array.iteri (fun s v -> vec.(mc.mc_cells + s) <- v) marking.Marking.statics
 
-let encode mc vec marking =
-  encode_into mc vec marking;
-  Pepa.Statekey.pack mc.codec vec
-
-let decode mc key =
-  let vec = Pepa.Statekey.unpack mc.codec key in
-  let cells =
-    Array.init mc.mc_cells (fun cell ->
-        let v = vec.(cell) in
-        if v = 0 then Marking.Empty
-        else
-          Marking.Tok
-            { token = (v - 1) / mc.cell_states.(cell); state = (v - 1) mod mc.cell_states.(cell) })
-  in
-  let statics = Array.init mc.mc_statics (fun s -> vec.(mc.mc_cells + s)) in
-  { Marking.cells; statics }
-
-let build ?(max_markings = 1_000_000) ?(symmetry = false) ?jobs compiled =
+let build ?(max_markings = 1_000_000) ?(symmetry = false) compiled =
   Obs.Span.with_ "net_statespace.build" (fun span ->
   let obs_on = Obs.Config.enabled () in
   let progress_every = Obs.Config.progress_interval () in
@@ -262,101 +243,37 @@ let build ?(max_markings = 1_000_000) ?(symmetry = false) ?jobs compiled =
         incr n_labels;
         id
   in
-  let pool = Par.pool ?jobs () in
-  let explored_markings, shard_occupancy =
-    match pool with
-    | None ->
-        ignore (intern (canonical (Marking.initial compiled)));
-        let next = ref 0 in
-        while !next < !n_markings do
-          let src = !next in
-          if obs_on then begin
-            Obs.Metrics.set Pepa.Statespace.frontier_states (float_of_int (!n_markings - src));
-            if src > 0 && src mod progress_every = 0 then
-              Obs.Log.progress ~stage:"net_statespace.build" ~count:src
-                ~detail:
-                  (Printf.sprintf "%d discovered, %d transitions" !n_markings !n_transitions)
-          end;
-          let marking = !markings.(src) in
-          List.iter
-            (fun move ->
-              let rate =
-                match move.Net_semantics.rate with
-                | Pepa.Rate.Active r -> r
-                | Pepa.Rate.Passive _ ->
-                    raise
-                      (Passive_firing
-                         {
-                           marking = Marking.label compiled marking;
-                           label = label_string move.Net_semantics.label;
-                         })
-              in
-              let dst = intern (canonical (Net_semantics.apply marking move.Net_semantics.updates)) in
-              push src dst rate (intern_label move.Net_semantics.label))
-            (Net_semantics.moves compiled marking);
-          incr next
-        done;
-        (Array.sub !markings 0 !n_markings, None)
-    | Some p ->
-        (* Frontier-parallel exploration, same engine as the PEPA
-           builder.  Firing and canonicalisation run on workers; the
-           merge preserves sequential first-occurrence numbering, so
-           the coordinator-side [emit] sees the sequential stream. *)
-        let hits_par = Atomic.make 0 in
-        let expand key =
-          let marking = decode mc key in
-          (* Worker-local scratch: [expand] runs concurrently on the
-             pool, so the coordinator's scratch vector is off limits. *)
-          let vec = Array.make (mc.mc_cells + mc.mc_statics) 0 in
-          List.map
-            (fun move ->
-              let rate =
-                match move.Net_semantics.rate with
-                | Pepa.Rate.Active r -> r
-                | Pepa.Rate.Passive _ ->
-                    raise
-                      (Passive_firing
-                         {
-                           marking = Marking.label compiled marking;
-                           label = label_string move.Net_semantics.label;
-                         })
-              in
-              let dst = Net_semantics.apply marking move.Net_semantics.updates in
-              let dst =
-                if Array.length groups = 0 then dst
-                else begin
-                  let dst, changed = canonicalise groups dst in
-                  if changed then Atomic.incr hits_par;
-                  dst
-                end
-              in
-              (encode mc vec dst, (rate, move.Net_semantics.label)))
-            (Net_semantics.moves compiled marking)
+  ignore (intern (canonical (Marking.initial compiled)));
+  let next = ref 0 in
+  while !next < !n_markings do
+    let src = !next in
+    if obs_on then begin
+      Obs.Metrics.set Pepa.Statespace.frontier_states (float_of_int (!n_markings - src));
+      if src > 0 && src mod progress_every = 0 then
+        Obs.Log.progress ~stage:"net_statespace.build" ~count:src
+          ~detail:
+            (Printf.sprintf "%d discovered, %d transitions" !n_markings !n_transitions)
+    end;
+    let marking = !markings.(src) in
+    List.iter
+      (fun move ->
+        let rate =
+          match move.Net_semantics.rate with
+          | Pepa.Rate.Active r -> r
+          | Pepa.Rate.Passive _ ->
+              raise
+                (Passive_firing
+                   {
+                     marking = Marking.label compiled marking;
+                     label = label_string move.Net_semantics.label;
+                   })
         in
-        let emit ~src ~dst (rate, label) = push src dst rate (intern_label label) in
-        let progress =
-          if obs_on then (
-            let seen = ref 0 in
-            Some
-              (fun ~states ~level ->
-                Obs.Metrics.set Pepa.Statespace.frontier_states (float_of_int (states - !seen));
-                seen := states;
-                if states >= progress_every then
-                  Obs.Log.progress ~stage:"net_statespace.build" ~count:states
-                    ~detail:
-                      (Printf.sprintf "level %d, %d transitions" level !n_transitions)))
-          else None
-        in
-        let result =
-          try
-            Par.Explore.explore ~pool:p ~hash:Pepa.Statekey.hash ~equal:Pepa.Statekey.equal
-              ~expand ~emit ~max_states:max_markings ?progress
-              (encode mc scratch_vec (canonical (Marking.initial compiled)))
-          with Par.Explore.Limit -> raise (Too_many_markings max_markings)
-        in
-        hits := !hits + Atomic.get hits_par;
-        (Array.map (decode mc) result.Par.Explore.states, Some result.Par.Explore.shard_states)
-  in
+        let dst = intern (canonical (Net_semantics.apply marking move.Net_semantics.updates)) in
+        push src dst rate (intern_label move.Net_semantics.label))
+      (Net_semantics.moves compiled marking);
+    incr next
+  done;
+  let explored_markings = Array.sub !markings 0 !n_markings in
   let n = Array.length explored_markings in
   let count = !n_transitions in
   let tr_pack = Array.sub !tr_pack 0 count in
@@ -373,14 +290,6 @@ let build ?(max_markings = 1_000_000) ?(symmetry = false) ?jobs compiled =
     Obs.Span.add_int span "markings" n;
     Obs.Span.add_int span "transitions" count;
     Obs.Span.add_int span "packed_key_bytes" key_size;
-    Obs.Span.add_int span "jobs"
-      (match pool with Some p -> Par.Pool.size p | None -> 1);
-    (match shard_occupancy with
-    | Some occ ->
-        let biggest = Array.fold_left max 0 occ in
-        Obs.Metrics.set Pepa.Statespace.shard_states (float_of_int biggest);
-        Obs.Span.add_int span "shard_states_max" biggest
-    | None -> ());
     if Array.length groups > 0 then begin
       Obs.Metrics.add Pepa.Statespace.canonical_hits !hits;
       Obs.Span.add_int span "symmetry_groups" (Array.length groups);
@@ -400,11 +309,11 @@ let build ?(max_markings = 1_000_000) ?(symmetry = false) ?jobs compiled =
     lump = None;
   })
 
-let of_string ?max_markings ?symmetry ?jobs src =
-  build ?max_markings ?symmetry ?jobs (Net_compile.of_string src)
+let of_string ?max_markings ?symmetry src =
+  build ?max_markings ?symmetry (Net_compile.of_string src)
 
-let of_file ?max_markings ?symmetry ?jobs path =
-  build ?max_markings ?symmetry ?jobs (Net_compile.of_file path)
+let of_file ?max_markings ?symmetry path =
+  build ?max_markings ?symmetry (Net_compile.of_file path)
 
 let compiled t = t.compiled
 let n_markings t = Array.length t.markings

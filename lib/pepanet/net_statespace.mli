@@ -23,7 +23,7 @@ exception Passive_firing of { marking : string; label : string }
 (** A passive activity (local or firing) survived with no active
     participant to set its rate: the model is incomplete. *)
 
-val build : ?max_markings:int -> ?symmetry:bool -> ?jobs:int -> Net_compile.t -> t
+val build : ?max_markings:int -> ?symmetry:bool -> Net_compile.t -> t
 (** With [~symmetry:true], interchangeable cells — cell leaves of the
     same token family composed in one same-set cooperation chain of a
     place's context — have their contents sorted before each marking is
@@ -32,15 +32,10 @@ val build : ?max_markings:int -> ?symmetry:bool -> ?jobs:int -> Net_compile.t ->
     their identity and place, so token- and place-level measures are
     exact; the reduction is the marking-graph analogue of
     {!Pepa.Statespace.build}'s replica symmetry and adds to the same
-    ["statespace.canonical_hits"] counter.
+    ["statespace.canonical_hits"] counter. *)
 
-    [jobs] behaves as in {!Pepa.Statespace.build}: above 1 the
-    exploration runs frontier-parallel with hash-sharded dedup tables,
-    and the resulting marking numbering and transition order are
-    identical to the sequential build. *)
-
-val of_string : ?max_markings:int -> ?symmetry:bool -> ?jobs:int -> string -> t
-val of_file : ?max_markings:int -> ?symmetry:bool -> ?jobs:int -> string -> t
+val of_string : ?max_markings:int -> ?symmetry:bool -> string -> t
+val of_file : ?max_markings:int -> ?symmetry:bool -> string -> t
 
 val compiled : t -> Net_compile.t
 val n_markings : t -> int

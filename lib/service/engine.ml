@@ -122,8 +122,8 @@ let net_compiled entry stages ~name ~source =
     (fun () -> W.compile_net ~name net)
 
 (* Exact solve of a cached PEPA model: derive (keyed by symmetry and
-   the state cap — not by jobs, the numbering is jobs-independent),
-   then solve (keyed by method and lumping). *)
+   the state cap — not by jobs, exploration is sequential), then solve
+   (keyed by method and lumping). *)
 let pepa_analysis entry stages ~name ~source ~(options : Protocol.options) =
   let compiled, warnings = pepa_compiled entry stages ~name ~source in
   let symmetry = Markov.Lump.symmetry_enabled options.Protocol.aggregate in
@@ -135,8 +135,7 @@ let pepa_analysis entry stages ~name ~source ~(options : Protocol.options) =
       ~project:(function A_pepa_space s -> Some s | _ -> None)
       ~inject:(fun s -> A_pepa_space s)
       (fun () ->
-        W.pepa_space ~name ?max_states:options.Protocol.max_states
-          ~jobs:options.Protocol.jobs ~symmetry compiled)
+        W.pepa_space ~name ?max_states:options.Protocol.max_states ~symmetry compiled)
   in
   let lump = Markov.Lump.lumping_enabled options.Protocol.aggregate in
   memo entry stages ~stage:"solve"
@@ -167,8 +166,7 @@ let net_analysis entry stages ~name ~source ~(options : Protocol.options) =
       ~project:(function A_net_space s -> Some s | _ -> None)
       ~inject:(fun s -> A_net_space s)
       (fun () ->
-        W.net_space ~name ?max_markings:options.Protocol.max_states
-          ~jobs:options.Protocol.jobs ~symmetry compiled)
+        W.net_space ~name ?max_markings:options.Protocol.max_states ~symmetry compiled)
   in
   let lump = Markov.Lump.lumping_enabled options.Protocol.aggregate in
   memo entry stages ~stage:"solve"

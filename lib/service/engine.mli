@@ -8,8 +8,8 @@
     affect that stage.  A repeated request re-runs nothing; a request
     that changes only the solve method reuses the derived state space;
     a source change misses the cache entirely.  State spaces are
-    deliberately {e not} keyed by job count (their numbering is
-    deterministic across job counts), so a space derived at [--jobs 4]
+    deliberately {e not} keyed by job count (exploration is sequential
+    at every job count), so a space derived for a [--jobs 4] request
     serves a sequential request and vice versa — one reason daemon
     responses are byte-identical to one-shot runs at every [--jobs].
 

@@ -77,6 +77,13 @@ let num_field name json =
   | Some _ -> fail "field %s is not a number" name
   | None -> fail "missing field %s" name
 
+(* A count (jobs, state cap): an integer in [0, max_int].  The bound is
+   strict because [float_of_int max_int] rounds up to 2^62, which
+   [int_of_float] would wrap to a negative count. *)
+let count_field name = function
+  | Num v when Float.is_integer v && v >= 0.0 && v < float_of_int max_int -> int_of_float v
+  | _ -> fail "field %s is not an integer in [0, max_int]" name
+
 let bool_field ~default name json =
   match member name json with
   | Some (Bool b) -> b
@@ -104,13 +111,19 @@ let method_of_string = function
   | "power" -> Some Markov.Steady.Power
   | "bicgstab" -> Some Markov.Steady.Bicgstab
   | other -> (
+      (* "sor" or "sor:<omega>", omega in (0, 2); plain "sor" uses a
+         mild over-relaxation. *)
       match String.split_on_char ':' other with
       | [ "sor" ] -> Some (Markov.Steady.Sor 1.2)
       | [ "sor"; omega ] -> (
           match float_of_string_opt omega with
           | Some w when w > 0.0 && w < 2.0 -> Some (Markov.Steady.Sor w)
           | Some _ | None -> fail "SOR relaxation %s outside (0, 2)" omega)
-      | _ -> fail "unknown method %s" other)
+      | _ ->
+          fail
+            "unknown method %s (valid: auto, direct, jacobi, gauss-seidel, sor[:omega], \
+             power, bicgstab)"
+            other)
 
 let fluid_to_string = function
   | None -> "off"
@@ -122,16 +135,22 @@ let fluid_of_string = function
       let positive v =
         match float_of_string_opt v with Some f when f > 0.0 -> Some f | _ -> None
       in
+      let invalid () =
+        fail
+          "invalid fluid tolerances %s (valid: RTOL or RTOL,ATOL with both positive, e.g. \
+           1e-8 or 1e-8,1e-12)"
+          s
+      in
       match String.split_on_char ',' s with
       | [ rtol ] -> (
           match positive rtol with
           | Some r -> Some { Fluid.Rk45.default_tolerances with Fluid.Rk45.rtol = r }
-          | None -> fail "invalid fluid tolerances %s" s)
+          | None -> invalid ())
       | [ rtol; atol ] -> (
           match (positive rtol, positive atol) with
           | Some r, Some a -> Some { Fluid.Rk45.rtol = r; atol = a }
-          | _ -> fail "invalid fluid tolerances %s" s)
-      | _ -> fail "invalid fluid tolerances %s" s)
+          | _ -> invalid ())
+      | _ -> invalid ())
 
 let kind_to_string = function Pepa -> "pepa" | Net -> "net"
 
@@ -172,17 +191,11 @@ let options_of_json json =
             | None -> fail "unknown aggregation mode %s" s)
         | Some _ -> fail "field aggregate is not a string"
       in
-      let jobs =
-        match member "jobs" o with
-        | None -> 1
-        | Some (Num v) when v >= 0.0 -> int_of_float v
-        | Some _ -> fail "field jobs is not a non-negative number"
-      in
+      let jobs = match member "jobs" o with None -> 1 | Some v -> count_field "jobs" v in
       let max_states =
         match member "max_states" o with
         | None | Some Null -> None
-        | Some (Num v) -> Some (int_of_float v)
-        | Some _ -> fail "field max_states is not a number"
+        | Some v -> Some (count_field "max_states" v)
       in
       let restart =
         match member "restart" o with

@@ -15,6 +15,8 @@ type options = {
                                              to the ODE approximation *)
   jobs : int;  (** as the CLI [--jobs]: 1 sequential, 0 auto-detect *)
   max_states : int option;
+      (** The decoder rejects a [jobs] or [max_states] that is not an
+          integer between 0 and [max_int] with {!Protocol_error}. *)
   restart : [ `Cycle | `Absorb ];  (** pipeline/reflect extraction policy *)
 }
 
@@ -81,11 +83,17 @@ val method_to_string : Markov.Steady.method_ option -> string
 val method_of_string : string -> Markov.Steady.method_ option
 (** ["auto"], ["direct"], ["jacobi"], ["gauss-seidel"]/["gs"],
     ["sor"]/["sor:OMEGA"], ["power"], ["bicgstab"] — the CLI [--method]
-    grammar.  Raises {!Protocol_error} on anything else. *)
+    grammar.  Raises {!Protocol_error} on anything else, with the
+    message the CLI prints. *)
 
 val fluid_to_string : Fluid.Rk45.tolerances option -> string
 (** ["off"] or ["RTOL,ATOL"] — the normalised form used in cache keys
     and ledger records. *)
+
+val fluid_of_string : string -> Fluid.Rk45.tolerances option
+(** ["off"], ["RTOL"] or ["RTOL,ATOL"] with both positive — the CLI
+    [--fluid] grammar, ["off"] being the exact solve.  Raises
+    {!Protocol_error} on anything else. *)
 
 val kind_to_string : model_kind -> string
 val backend_to_string : backend -> string

@@ -168,18 +168,27 @@ let emit_ledger t (outcome : Engine.outcome) before =
           ~exit_status:outcome.Engine.status ()
       with Sys_error _ | Unix.Unix_error _ -> ())
 
+(* Decoding and job resolution both run inside the error contract: a
+   request they reject gets code 1, and nothing they raise can reach
+   the worker loop, which would end the worker domain. *)
 let process t payload =
-  match Protocol.request_of_json (Obs.Json.of_string payload) with
+  let invalid msg =
+    Protocol.Error_response
+      { code = 1; message = Printf.sprintf "error: invalid request: %s\n" msg }
+  in
+  match
+    let request = Protocol.request_of_json (Obs.Json.of_string payload) in
+    (request, effective_jobs request)
+  with
   | exception Obs.Json.Parse_error msg ->
       Protocol.Error_response
         { code = 1; message = Printf.sprintf "error: request is not JSON: %s\n" msg }
-  | exception Protocol.Protocol_error msg ->
-      Protocol.Error_response
-        { code = 1; message = Printf.sprintf "error: invalid request: %s\n" msg }
-  | request ->
+  | exception Protocol.Protocol_error msg -> invalid msg
+  | exception Invalid_argument msg -> invalid msg
+  | request, jobs ->
       let before = Obs.Metrics.scalar_snapshot () in
       let outcome =
-        if effective_jobs request > 1 && not (Atomic.get t.stop) then
+        if jobs > 1 && not (Atomic.get t.stop) then
           submit_to_main t (fun () -> Engine.handle t.engine request)
         else Engine.handle t.engine request
       in

@@ -11,8 +11,8 @@
     Concurrency model: [workers] domains accept and serve connections;
     a request whose effective job count is 1 (the default) runs
     entirely on its worker, so distinct models solve in parallel.
-    [Par] pools are coordinator-only, so a request asking for [jobs >
-    1] is shipped to the main domain — the one that called {!run} and
+    The solvers' [Par] pools are coordinator-only, so a request asking
+    for [jobs > 1] is shipped to the main domain — the one that called {!run} and
     owns the pools — and such requests serialise among themselves
     while jobs=1 traffic keeps flowing on the workers. *)
 

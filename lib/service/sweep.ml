@@ -108,7 +108,7 @@ let run ~name ~model ~(options : Protocol.options) ~axes ~backend ~warm_start =
           | Protocol.Exact ->
               let space =
                 Choreographer.Workbench.pepa_space ~name ?max_states:options.Protocol.max_states
-                  ~jobs:options.Protocol.jobs ~symmetry compiled
+                  ~symmetry compiled
               in
               let n = Pepa.Statespace.n_states space in
               let initial =
@@ -127,7 +127,7 @@ let run ~name ~model ~(options : Protocol.options) ~axes ~backend ~warm_start =
           | Protocol.Lump ->
               let space =
                 Choreographer.Workbench.pepa_space ~name ?max_states:options.Protocol.max_states
-                  ~jobs:options.Protocol.jobs ~symmetry compiled
+                  ~symmetry compiled
               in
               let pi =
                 Choreographer.Workbench.solve_pepa ~name ?method_:options.Protocol.method_

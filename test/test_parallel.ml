@@ -1,15 +1,13 @@
 (* The multicore engine.  Two layers under test: the [Par] primitives
-   (pool, parallel_for, deterministic sums, the frontier-parallel
-   exploration engine) and the determinism contract of the pipeline
-   built on them — at any job count the state space, the CTMC and the
-   steady vector must reproduce the sequential results, state numbering
-   and transition order included. *)
+   (pool, parallel_for, deterministic sums) and the determinism
+   contract of their one consumer, the iterative steady-state solvers —
+   at any job count an analysis must render exactly the text of the
+   sequential run, and the steady vector must agree with it. *)
 
 let jobs = 4
 
-(* The process-wide default drives the phases whose APIs cannot take a
-   per-call [?jobs] (CSR assembly); restore it so other suites stay on
-   the sequential path. *)
+(* The process-wide default is what a solve without [?jobs] uses;
+   restore it so other suites stay on the sequential path. *)
 let with_jobs n f =
   Par.set_jobs n;
   Fun.protect ~finally:(fun () -> Par.set_jobs 1) f
@@ -92,82 +90,7 @@ let test_pool_exception () =
   Alcotest.(check int) "pool usable after the failure" 100 (Atomic.get hits)
 
 (* ------------------------------------------------------------------ *)
-(* The exploration engine against a sequential reference BFS           *)
-(* ------------------------------------------------------------------ *)
-
-(* A deterministic pseudo-random digraph on 0..996. *)
-let toy_expand i =
-  [
-    ((i * 7) + 1) mod 997, Printf.sprintf "p%d" i;
-    ((i * 31) + 5) mod 997, "q";
-    (i + 1) mod 997, "r";
-  ]
-
-(* First-occurrence numbering over the breadth-first transition stream:
-   exactly the order the sequential builders use. *)
-let reference_bfs ~expand root =
-  let index = Hashtbl.create 64 in
-  let order = ref [ root ] in
-  let queue = Queue.create () in
-  Hashtbl.add index root 0;
-  Queue.add root queue;
-  let count = ref 1 in
-  let edges = ref [] in
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    let src = Hashtbl.find index s in
-    List.iter
-      (fun (d, payload) ->
-        let dst =
-          match Hashtbl.find_opt index d with
-          | Some i -> i
-          | None ->
-              let i = !count in
-              incr count;
-              Hashtbl.add index d i;
-              order := d :: !order;
-              Queue.add d queue;
-              i
-        in
-        edges := (src, dst, payload) :: !edges)
-      (expand s)
-  done;
-  (Array.of_list (List.rev !order), List.rev !edges)
-
-let test_explore_matches_reference () =
-  let ref_states, ref_edges = reference_bfs ~expand:toy_expand 0 in
-  List.iter
-    (fun size ->
-      let p = require_pool size in
-      let edges = ref [] in
-      let result =
-        Par.Explore.explore ~pool:p ~hash:Hashtbl.hash ~equal:( = ) ~expand:toy_expand
-          ~emit:(fun ~src ~dst payload -> edges := (src, dst, payload) :: !edges)
-          0
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "states in sequential order (pool %d)" size)
-        true
-        (result.Par.Explore.states = ref_states);
-      Alcotest.(check bool)
-        (Printf.sprintf "transition stream in sequential order (pool %d)" size)
-        true
-        (List.rev !edges = ref_edges);
-      Alcotest.(check int) "shard occupancy accounts for every state"
-        (Array.length ref_states)
-        (Array.fold_left ( + ) 0 result.Par.Explore.shard_states))
-    [ 2; 4 ]
-
-let test_explore_limit () =
-  let p = require_pool 3 in
-  Alcotest.check_raises "state cap raises Limit" Par.Explore.Limit (fun () ->
-      ignore
-        (Par.Explore.explore ~pool:p ~hash:Hashtbl.hash ~equal:( = ) ~expand:toy_expand
-           ~emit:(fun ~src:_ ~dst:_ _ -> ())
-           ~max_states:50 0))
-
-(* ------------------------------------------------------------------ *)
-(* Pipeline determinism: jobs = 4 must reproduce jobs = 1 exactly      *)
+(* Pipeline determinism: jobs > 1 must reproduce jobs = 1 exactly      *)
 (* ------------------------------------------------------------------ *)
 
 let max_abs_diff a b =
@@ -176,77 +99,42 @@ let max_abs_diff a b =
   Array.iteri (fun i v -> d := Float.max !d (Float.abs (v -. b.(i)))) a;
   !d
 
-let generator_of space = Markov.Ctmc.generator (Pepa.Statespace.ctmc space)
-let net_generator_of space = Markov.Ctmc.generator (Pepanet.Net_statespace.ctmc space)
+module W = Choreographer.Workbench
+module R = Choreographer.Render
+
+(* The CLI's stdout for an analysis, or the exception that ended it:
+   random terms may deadlock, and the failure must not depend on jobs
+   either. *)
+let rendered f = try f () with exn -> "error: " ^ Printexc.to_string exn
+
+let pepa_text ?aggregate ~jobs source =
+  rendered (fun () -> R.pepa_solve (W.analyse_pepa_string ?aggregate ~jobs source))
+
+let net_text ?aggregate ~jobs net =
+  rendered (fun () -> R.net_solve (W.analyse_net ?aggregate ~jobs net))
+
+let aggregates = [ Markov.Lump.No_agg; Markov.Lump.Both ]
 
 let check_pepa_deterministic name source =
   List.iter
-    (fun symmetry ->
-      let tag = Printf.sprintf "%s%s" name (if symmetry then " (symmetry)" else "") in
-      let seq = Pepa.Statespace.of_string ~symmetry source in
-      let par = Pepa.Statespace.of_string ~symmetry ~jobs source in
-      Alcotest.(check int)
-        (tag ^ ": states") (Pepa.Statespace.n_states seq) (Pepa.Statespace.n_states par);
-      Alcotest.(check int)
-        (tag ^ ": transitions")
-        (Pepa.Statespace.n_transitions seq)
-        (Pepa.Statespace.n_transitions par);
-      let labels sp =
-        Array.init (Pepa.Statespace.n_states sp) (Pepa.Statespace.state_label sp)
-      in
-      Alcotest.(check bool) (tag ^ ": state numbering identical") true
-        (labels seq = labels par);
-      Alcotest.(check bool) (tag ^ ": transition list identical") true
-        (Pepa.Statespace.transitions seq = Pepa.Statespace.transitions par);
-      Alcotest.(check bool) (tag ^ ": generator bitwise identical") true
-        (generator_of seq = with_jobs jobs (fun () -> generator_of par));
-      let pi_seq = Pepa.Statespace.steady_state seq in
-      let pi_par = Pepa.Statespace.steady_state ~jobs par in
+    (fun aggregate ->
+      let tag = Printf.sprintf "%s (%s)" name (Markov.Lump.mode_to_string aggregate) in
+      let seq = W.analyse_pepa_string ~aggregate ~jobs:1 source in
+      let par = W.analyse_pepa_string ~aggregate ~jobs source in
+      Alcotest.(check string) (tag ^ ": rendered output identical") (R.pepa_solve seq)
+        (R.pepa_solve par);
       Alcotest.(check bool) (tag ^ ": steady vector within 1e-10") true
-        (max_abs_diff pi_seq pi_par <= 1e-10);
-      (* --aggregate both: symmetry orbits and lump respect keys are
-         derived from the (identical) numbering, so the lumped solve
-         must agree too. *)
-      if symmetry then begin
-        let pi_seq = Pepa.Statespace.steady_state ~lump:true seq in
-        let pi_par = Pepa.Statespace.steady_state ~lump:true ~jobs par in
-        Alcotest.(check bool) (tag ^ ": lumped steady vector within 1e-10") true
-          (max_abs_diff pi_seq pi_par <= 1e-10)
-      end)
-    [ false; true ]
+        (max_abs_diff seq.W.distribution par.W.distribution <= 1e-10))
+    aggregates
 
-let check_net_deterministic name source =
+let check_net_deterministic name net =
   List.iter
-    (fun symmetry ->
-      let tag = Printf.sprintf "%s%s" name (if symmetry then " (symmetry)" else "") in
-      let seq = Pepanet.Net_statespace.of_string ~symmetry source in
-      let par = Pepanet.Net_statespace.of_string ~symmetry ~jobs source in
-      Alcotest.(check int)
-        (tag ^ ": markings")
-        (Pepanet.Net_statespace.n_markings seq)
-        (Pepanet.Net_statespace.n_markings par);
-      let labels sp =
-        Array.init
-          (Pepanet.Net_statespace.n_markings sp)
-          (Pepanet.Net_statespace.marking_label sp)
-      in
-      Alcotest.(check bool) (tag ^ ": marking numbering identical") true
-        (labels seq = labels par);
-      Alcotest.(check bool) (tag ^ ": transition list identical") true
-        (Pepanet.Net_statespace.transitions seq = Pepanet.Net_statespace.transitions par);
-      Alcotest.(check bool) (tag ^ ": generator bitwise identical") true
-        (net_generator_of seq = with_jobs jobs (fun () -> net_generator_of par));
-      let pi_seq = Pepanet.Net_statespace.steady_state seq in
-      let pi_par = Pepanet.Net_statespace.steady_state ~jobs par in
-      Alcotest.(check bool) (tag ^ ": steady vector within 1e-10") true
-        (max_abs_diff pi_seq pi_par <= 1e-10);
-      if symmetry then begin
-        let pi_seq = Pepanet.Net_statespace.steady_state ~lump:true seq in
-        let pi_par = Pepanet.Net_statespace.steady_state ~lump:true ~jobs par in
-        Alcotest.(check bool) (tag ^ ": lumped steady vector within 1e-10") true
-          (max_abs_diff pi_seq pi_par <= 1e-10)
-      end)
-    [ false; true ]
+    (fun aggregate ->
+      let tag = Printf.sprintf "%s (%s)" name (Markov.Lump.mode_to_string aggregate) in
+      Alcotest.(check string) (tag ^ ": rendered output identical")
+        (net_text ~aggregate ~jobs:1 net)
+        (net_text ~aggregate ~jobs net))
+    aggregates
 
 let e6 n =
   Printf.sprintf
@@ -259,57 +147,70 @@ let test_scenarios_deterministic () =
   check_pepa_deterministic "roaming" (Scenarios.Roaming.pepa_source ~replicas:4);
   check_pepa_deterministic "file-protocol" Scenarios.File_protocol.pepa_source;
   check_pepa_deterministic "e6-9" (e6 9);
-  check_net_deterministic "roaming-net" Scenarios.Roaming.pepanet_source;
-  check_net_deterministic "instant-message" Scenarios.Instant_message.pepanet_source
+  check_net_deterministic "roaming-net"
+    (Pepanet.Net_parser.net_of_string Scenarios.Roaming.pepanet_source);
+  check_net_deterministic "instant-message"
+    (Pepanet.Net_parser.net_of_string Scenarios.Instant_message.pepanet_source)
 
 let test_extracted_nets_deterministic () =
-  (* Nets that only exist as compiled structures: the PDA handover and
-     the code-mobility agent, through [build] directly. *)
-  let check name compiled =
-    let seq = Pepanet.Net_statespace.build compiled in
-    let par = Pepanet.Net_statespace.build ~jobs compiled in
-    let labels sp =
-      Array.init
-        (Pepanet.Net_statespace.n_markings sp)
-        (Pepanet.Net_statespace.marking_label sp)
-    in
-    Alcotest.(check bool) (name ^ ": marking numbering identical") true
-      (labels seq = labels par);
-    Alcotest.(check bool) (name ^ ": transition list identical") true
-      (Pepanet.Net_statespace.transitions seq = Pepanet.Net_statespace.transitions par)
-  in
+  (* Nets that only exist as in-memory structures: the PDA handover and
+     the code-mobility agent. *)
   let pda = Scenarios.Pda.extraction () in
-  check "pda" (Pepanet.Net_compile.compile pda.Extract.Ad_to_pepanet.net);
-  check "code-mobility"
-    (Pepanet.Net_compile.compile
-       (Scenarios.Code_mobility.mobile_agent_net Scenarios.Code_mobility.default_parameters))
+  check_net_deterministic "pda" pda.Extract.Ad_to_pepanet.net;
+  check_net_deterministic "code-mobility"
+    (Scenarios.Code_mobility.mobile_agent_net Scenarios.Code_mobility.default_parameters)
 
-(* A model big enough to cross every parallel threshold: 2^13 states,
-   ~90k transitions (CSR assembly parallelises beyond 32k nonzeros, the
-   solvers beyond 4096 states). *)
+(* Every committed example model renders byte-identically at jobs = 1
+   and jobs = 2 through the same Workbench + Render path the
+   [workbench solve] CLI takes, with and without aggregation.  The state
+   cap keeps the unaggregated replicated pools (well over a million
+   states) quick: their cap error must not depend on jobs either. *)
+let test_assets_render_identically () =
+  let dir = List.find Sys.file_exists [ "../examples/assets"; "examples/assets" ] in
+  let models =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".pepa" || Filename.check_suffix f ".pepanet")
+  in
+  Alcotest.(check bool) "found the example models" true (List.length models >= 5);
+  List.iter
+    (fun file ->
+      let path = Filename.concat dir file in
+      let text ~aggregate ~jobs =
+        rendered (fun () ->
+            if Filename.check_suffix file ".pepanet" then
+              R.net_solve (W.analyse_net_file ~max_markings:50_000 ~aggregate ~jobs path)
+            else R.pepa_solve (W.analyse_pepa_file ~max_states:50_000 ~aggregate ~jobs path))
+      in
+      List.iter
+        (fun aggregate ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s (%s): jobs 1 and 2 render identically" file
+               (Markov.Lump.mode_to_string aggregate))
+            (text ~aggregate ~jobs:1) (text ~aggregate ~jobs:2))
+        aggregates)
+    models
+
+(* A model big enough to cross the solvers' pool threshold: 2^13
+   states (the solvers parallelise beyond 4096). *)
 let test_large_model_parallel_paths () =
-  let source = e6 12 in
-  let seq = Pepa.Statespace.of_string source in
-  let par = Pepa.Statespace.of_string ~jobs source in
-  let chain_seq = Pepa.Statespace.ctmc seq in
-  let chain_par = with_jobs jobs (fun () -> Pepa.Statespace.ctmc par) in
-  let g_seq = Markov.Ctmc.generator chain_seq in
-  let g_par = Markov.Ctmc.generator chain_par in
-  Alcotest.(check bool) "parallel CSR assembly bitwise identical" true (g_seq = g_par);
-  Alcotest.(check bool) "parallel transpose bitwise identical" true
-    (Markov.Sparse.transpose g_seq = Markov.Sparse.transpose ~jobs g_seq);
+  let chain = Pepa.Statespace.ctmc (Pepa.Statespace.of_string (e6 12)) in
   let check_method name method_ =
-    let pi_seq = Markov.Steady.solve ~method_ chain_seq in
-    let pi_par = Markov.Steady.solve ~method_ ~jobs chain_par in
+    let pi_seq = Markov.Steady.solve ~method_ chain in
+    let pi_par = Markov.Steady.solve ~method_ ~jobs chain in
     Alcotest.(check bool) (name ^ " parallel within 1e-10") true
       (max_abs_diff pi_seq pi_par <= 1e-10)
   in
   check_method "jacobi" Markov.Steady.Jacobi;
   check_method "power" Markov.Steady.Power;
-  (* Gauss-Seidel stays sequential at any job count: bitwise equal. *)
-  let pi_seq = Markov.Steady.solve ~method_:Markov.Steady.Gauss_seidel chain_seq in
-  let pi_par = Markov.Steady.solve ~method_:Markov.Steady.Gauss_seidel ~jobs chain_par in
-  Alcotest.(check bool) "gauss-seidel independent of jobs" true (pi_seq = pi_par)
+  (* Gauss-Seidel stays sequential at any job count, and BiCGStab
+     reduces over a fixed chunk grid: both bitwise equal. *)
+  List.iter
+    (fun (name, method_) ->
+      let pi_seq = Markov.Steady.solve ~method_ chain in
+      let pi_par = Markov.Steady.solve ~method_ ~jobs chain in
+      Alcotest.(check bool) (name ^ " independent of jobs") true (pi_seq = pi_par))
+    [ ("gauss-seidel", Markov.Steady.Gauss_seidel); ("bicgstab", Markov.Steady.Bicgstab) ]
 
 (* ------------------------------------------------------------------ *)
 (* Random small PEPA terms                                             *)
@@ -339,15 +240,7 @@ let prop_random_terms_deterministic =
   QCheck2.Test.make ~name:"random PEPA terms explore identically at jobs = 3" ~count:60
     ~print:(fun s -> s)
     gen_model
-    (fun source ->
-      let seq = Pepa.Statespace.of_string source in
-      let par = Pepa.Statespace.of_string ~jobs:3 source in
-      let labels sp =
-        Array.init (Pepa.Statespace.n_states sp) (Pepa.Statespace.state_label sp)
-      in
-      labels seq = labels par
-      && Pepa.Statespace.transitions seq = Pepa.Statespace.transitions par
-      && generator_of seq = generator_of par)
+    (fun source -> pepa_text ~jobs:1 source = pepa_text ~jobs:3 source)
 
 (* ------------------------------------------------------------------ *)
 (* CLI validation                                                      *)
@@ -381,11 +274,11 @@ let suite =
     Alcotest.test_case "parallel_chunks runs every ordinal" `Quick test_parallel_chunks;
     Alcotest.test_case "parallel sums are deterministic" `Quick test_sum_floats_deterministic;
     Alcotest.test_case "worker exceptions propagate" `Quick test_pool_exception;
-    Alcotest.test_case "explore matches the sequential BFS" `Quick test_explore_matches_reference;
-    Alcotest.test_case "explore honours the state cap" `Quick test_explore_limit;
     Alcotest.test_case "scenario pipelines are deterministic" `Slow test_scenarios_deterministic;
     Alcotest.test_case "extracted nets are deterministic" `Quick test_extracted_nets_deterministic;
     Alcotest.test_case "large-model parallel paths" `Slow test_large_model_parallel_paths;
+    Alcotest.test_case "example models render identically at jobs 1 and 2" `Quick
+      test_assets_render_identically;
     QCheck_alcotest.to_alcotest prop_random_terms_deterministic;
     Alcotest.test_case "--jobs validation" `Quick test_jobs_cli_validation;
   ]

@@ -175,6 +175,74 @@ let test_protocol_rejects () =
   Alcotest.(check bool) "sor omega parses" true
     (Service.Protocol.method_of_string "sor:0.8" = Some (Markov.Steady.Sor 0.8))
 
+(* Counts must be integers in [0, max_int]: 6e18 would wrap negative
+   through [int_of_float]. *)
+let with_option key value = function
+  | Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.map
+           (function
+             | "options", Obs.Json.Obj o ->
+                 ("options", Obs.Json.Obj ((key, value) :: List.remove_assoc key o))
+             | field -> field)
+           fields)
+  | json -> json
+
+let solve_json () = Service.Protocol.request_to_json (solve_request ~name:"m.pepa" (mm1k ()))
+
+let test_protocol_rejects_counts () =
+  List.iter
+    (fun (key, v) ->
+      let json = with_option key (Obs.Json.Num v) (solve_json ()) in
+      match Service.Protocol.request_of_json json with
+      | exception Service.Protocol.Protocol_error msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s = %g rejected" key v)
+            (Printf.sprintf "field %s is not an integer in [0, max_int]" key)
+            msg
+      | _ -> Alcotest.failf "%s = %g accepted" key v)
+    [
+      ("jobs", 6e18); ("jobs", -1.0); ("jobs", 1.5); ("jobs", Float.infinity);
+      ("max_states", -3.0); ("max_states", 1e300); ("max_states", 0.5);
+    ];
+  match
+    Service.Protocol.request_of_json (with_option "jobs" (Obs.Json.Num 4e18) (solve_json ()))
+  with
+  | Service.Protocol.Solve { options; _ } ->
+      Alcotest.(check int) "a large but representable count decodes" 4_000_000_000_000_000_000
+        options.Service.Protocol.jobs
+  | _ -> Alcotest.fail "solve decoded to another verb"
+
+(* One wording for --method and --fluid: the CLI converters and the
+   daemon decoder report the same text, the CLI's historical one. *)
+let test_option_wording_shared () =
+  let cases =
+    [
+      ( "--method banana",
+        Cmdliner.Arg.conv_parser Cli_support.method_conv "banana" |> Result.map ignore,
+        (fun () -> ignore (Service.Protocol.method_of_string "banana")),
+        "unknown method banana (valid: auto, direct, jacobi, gauss-seidel, sor[:omega], \
+         power, bicgstab)" );
+      ( "--method sor:3",
+        Cmdliner.Arg.conv_parser Cli_support.method_conv "sor:3" |> Result.map ignore,
+        (fun () -> ignore (Service.Protocol.method_of_string "sor:3")),
+        "SOR relaxation 3 outside (0, 2)" );
+      ( "--fluid 0",
+        Cmdliner.Arg.conv_parser Cli_support.fluid_conv "0" |> Result.map ignore,
+        (fun () -> ignore (Service.Protocol.fluid_of_string "0")),
+        "invalid fluid tolerances 0 (valid: RTOL or RTOL,ATOL with both positive, e.g. \
+         1e-8 or 1e-8,1e-12)" );
+    ]
+  in
+  List.iter
+    (fun (label, cli, daemon, expected) ->
+      (match cli with
+      | Error (`Msg m) -> Alcotest.(check string) (label ^ ": CLI message") expected m
+      | Ok () -> Alcotest.failf "%s accepted by the CLI" label);
+      Alcotest.check_raises (label ^ ": daemon message")
+        (Service.Protocol.Protocol_error expected) daemon)
+    cases
+
 (* ------------------------------------------------------------------ *)
 (* LRU cache                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -360,6 +428,23 @@ let test_sweep_axis_validation () =
 (* Live daemon over a Unix socket                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* One request over a raw connection, so the payload can hold what the
+   typed codec refuses to encode.  The receive timeout turns a dead
+   daemon worker into a failure instead of a hang. *)
+let raw_exchange socket json =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      Service.Frame.write fd (Obs.Json.to_string json);
+      match Service.Frame.read fd with
+      | Some payload -> Service.Protocol.response_of_json (Obs.Json.of_string payload)
+      | None -> Alcotest.fail "daemon closed the connection"
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Alcotest.fail "daemon did not answer within 10 s")
+
 let with_server ?(workers = 2) f =
   let socket_path = Filename.temp_file "choreographerd" ".sock" in
   let ledger = Filename.temp_file "choreographerd" ".jsonl" in
@@ -383,16 +468,23 @@ let with_server ?(workers = 2) f =
     Unix.sleepf 0.005
   done;
   if not (Atomic.get ready) then Alcotest.fail "server did not come up";
+  (* A failed body may have left the daemon wedged (a dead worker never
+     checks out), so only a clean run waits for it to stop; otherwise
+     the failure is reported instead of hanging the suite. *)
+  let clean = ref false in
   Fun.protect
     ~finally:(fun () ->
       (try
-         let conn = Service.Client.connect ~socket:socket_path () in
-         ignore (Service.Client.request conn Service.Protocol.Shutdown);
-         Service.Client.close conn
-       with Service.Client.Connection_error _ -> ());
-      Domain.join server;
+         ignore
+           (raw_exchange socket_path
+              (Service.Protocol.request_to_json Service.Protocol.Shutdown))
+       with _ -> ());
+      if !clean then Domain.join server;
       if Sys.file_exists ledger then Sys.remove ledger)
-    (fun () -> f ~socket:socket_path ~ledger)
+    (fun () ->
+      let result = f ~socket:socket_path ~ledger in
+      clean := true;
+      result)
 
 let request_over socket request =
   let conn = Service.Client.connect ~socket () in
@@ -497,6 +589,24 @@ let test_daemon_error_and_codes () =
           Alcotest.(check int) "analysis failure code" 2 code
       | Service.Protocol.Ok_response _ -> Alcotest.fail "net sweep accepted")
 
+(* A request the decoder rejects must come back as code 1 without
+   taking down the worker that read it: with a single worker, a dead
+   one would leave the follow-up stats request unanswered. *)
+let test_daemon_survives_hostile_jobs () =
+  with_server ~workers:1 (fun ~socket ~ledger:_ ->
+      (match raw_exchange socket (with_option "jobs" (Obs.Json.Num 6e18) (solve_json ())) with
+      | Service.Protocol.Error_response { code; message } ->
+          Alcotest.(check int) "invalid request exits 1" 1 code;
+          Alcotest.(check bool) "reported as an invalid request" true
+            (has_prefix "error: invalid request: field jobs" message)
+      | Service.Protocol.Ok_response _ -> Alcotest.fail "jobs = 6e18 accepted");
+      match
+        raw_exchange socket (Service.Protocol.request_to_json Service.Protocol.Stats)
+      with
+      | Service.Protocol.Ok_response _ -> ()
+      | Service.Protocol.Error_response { message; _ } ->
+          Alcotest.failf "stats failed after the bad request: %s" message)
+
 let test_daemon_http_metrics () =
   with_server (fun ~socket ~ledger:_ ->
       ignore (response_output (request_over socket (solve_request ~name:"mm1k.pepa" (mm1k ()))));
@@ -576,6 +686,8 @@ let suite =
     Alcotest.test_case "frame oversized and HTTP sniff" `Quick test_frame_oversized;
     Alcotest.test_case "protocol round trip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "protocol rejects" `Quick test_protocol_rejects;
+    Alcotest.test_case "protocol rejects bad counts" `Quick test_protocol_rejects_counts;
+    Alcotest.test_case "option wording shared with the CLI" `Quick test_option_wording_shared;
     Alcotest.test_case "cache LRU" `Quick test_cache_lru;
     Alcotest.test_case "engine stage cache" `Quick test_engine_stage_cache;
     Alcotest.test_case "engine solve = workbench" `Quick test_engine_solve_matches_workbench;
@@ -587,6 +699,7 @@ let suite =
     Alcotest.test_case "daemon solve byte-identical" `Quick test_daemon_solve_byte_identical;
     Alcotest.test_case "daemon concurrent clients" `Quick test_daemon_concurrent_clients;
     Alcotest.test_case "daemon error codes" `Quick test_daemon_error_and_codes;
+    Alcotest.test_case "daemon survives a hostile jobs" `Quick test_daemon_survives_hostile_jobs;
     Alcotest.test_case "daemon /metrics" `Quick test_daemon_http_metrics;
     Alcotest.test_case "daemon sweep and shutdown" `Quick test_daemon_sweep_and_shutdown;
   ]
