@@ -359,11 +359,8 @@ let e6 () =
   print_string "numerical solution vs simulation (task throughput, 8 replicas)\n";
   let pi = Markov.Steady.solve chain in
   let task_jumps = Hashtbl.create 64 in
-  List.iter
-    (fun tr ->
-      if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act "task") then
-        Hashtbl.replace task_jumps (tr.Pepa.Statespace.src, tr.Pepa.Statespace.dst) ())
-    (Pepa.Statespace.transitions space);
+  Pepa.Statespace.iter_transitions space (fun ~src ~action ~rate:_ ~dst ->
+      if Pepa.Action.name action = Some "task" then Hashtbl.replace task_jumps (src, dst) ());
   let exact = Pepa.Statespace.throughput space pi "task" in
   let est, dt =
     Obs.Clock.time (fun () ->

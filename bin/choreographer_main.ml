@@ -44,30 +44,7 @@ let absorb_arg =
         ~doc:
           "Keep terminating behaviour instead of cycling tokens back to their initial activity.")
 
-let options_of ~jobs rates_path method_ absorb aggregate fluid =
-  {
-    Choreographer.Pipeline.default_options with
-    rates = load_rates rates_path;
-    method_;
-    restart = (if absorb then `Absorb else `Cycle);
-    aggregate;
-    fluid;
-    jobs = Some jobs;
-  }
-
-let handle_errors f =
-  try f () with
-  | Choreographer.Pipeline.Pipeline_error msg
-  | Choreographer.Workbench.Analysis_error msg ->
-      Cli_support.set_run_status ("error: " ^ msg);
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-  | Markov.Steady.Did_not_converge { method_used; iterations; residual } ->
-      Cli_support.report_did_not_converge ~method_used ~iterations ~residual
-  | Fluid.Rk45.Did_not_reach_steady { steps; t; dx_norm } ->
-      Cli_support.report_did_not_reach_steady ~steps ~t ~dx_norm
-  | Fluid.Rk45.Step_budget_exhausted { steps; t; error_estimate } ->
-      Cli_support.report_step_budget_exhausted ~steps ~t ~error_estimate
+let handle_errors = Cli_support.handle_errors
 
 (* ------------------------------------------------------------------ *)
 
@@ -93,18 +70,14 @@ let pipeline_cmd =
   in
   let run jobs input output rates_path method_ absorb aggregate fluid xmltable html =
     handle_errors (fun () ->
-        let options = options_of ~jobs rates_path method_ absorb aggregate fluid in
+        let options = Cli_support.protocol_options ~jobs method_ aggregate fluid absorb in
+        let pipeline_options =
+          Service.Protocol.pipeline_options ~rates:(load_rates rates_path) options
+        in
         Cli_support.arm_ledger ~tool:"choreographer pipeline" ~model:input
-          ~options:
-            [
-              ("jobs", string_of_int jobs);
-              ("method", Cli_support.method_string method_);
-              ("aggregate", Markov.Lump.mode_to_string aggregate);
-              ("fluid", Cli_support.fluid_string fluid);
-              ("absorb", string_of_bool absorb);
-            ];
+          ~options:(Service.Protocol.option_pairs options @ [ ("absorb", string_of_bool absorb) ]);
         let doc = read_document input in
-        let outcome = Choreographer.Pipeline.process_document ~options doc in
+        let outcome = Choreographer.Pipeline.process_document ~options:pipeline_options doc in
         Cli_support.print_solver_stats ();
         Xml_kit.Minixml.write_file output outcome.Choreographer.Pipeline.reflected;
         List.iter
@@ -465,60 +438,27 @@ let with_conn socket tcp f =
             Printf.eprintf "error: %s\n" msg;
             exit 1)
 
-(* Replay the daemon's answer with the one-shot CLI's contract: an
-   error response carries the exact stderr bytes and exit code the
-   local tool would have produced. *)
-let ok_or_exit = function
-  | Service.Protocol.Ok_response { output; diagnostics; data } -> (output, diagnostics, data)
-  | Service.Protocol.Error_response { code; message } ->
-      Printf.eprintf "%s%!" message;
-      exit code
-
-let read_source path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 1
-
-let kind_of path explicit_net =
-  if explicit_net || Filename.check_suffix path ".pepanet" then Service.Protocol.Net
-  else Service.Protocol.Pepa
-
 let net_flag_arg =
   Arg.(value & flag & info [ "net" ] ~doc:"Force PEPA net interpretation regardless of suffix.")
 
 let model_pos_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"MODEL" ~doc:"A .pepa or .pepanet file.")
 
-let client_options jobs method_ aggregate fluid absorb =
-  {
-    Service.Protocol.default_options with
-    method_;
-    aggregate;
-    fluid;
-    jobs;
-    restart = (if absorb then `Absorb else `Cycle);
-  }
-
 let jobs_opt_arg =
   (* The client's --jobs asks the daemon, so it must not auto-resolve
      locally; 0 still means "auto" — on the daemon's machine. *)
   Arg.(
-    value & opt int 1
+    value
+    & opt Cli_support.jobs_conv 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Domains the daemon should use for this request (0 auto-detects there).")
 
 let client_solve_cmd =
   let run socket tcp jobs path net method_ aggregate fluid =
-    let options = client_options jobs method_ aggregate fluid false in
-    let request =
-      Service.Protocol.Solve
-        { kind = kind_of path net; name = Filename.basename path; source = read_source path; options }
-    in
+    let options = Cli_support.protocol_options ~jobs method_ aggregate fluid false in
+    let request = Cli_support.solve_request ~path ~net options in
     with_conn socket tcp (fun conn ->
-        let output, diagnostics, _ = ok_or_exit (Service.Client.request conn request) in
-        print_string output;
-        Printf.eprintf "%s%!" diagnostics)
+        Cli_support.print_answer (Service.Client.request conn request))
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve a model on the daemon (same output as workbench solve).")
@@ -534,15 +474,10 @@ let client_query_cmd =
       & info [] ~docv:"QUERY" ~doc:"Measure expression, e.g. 'throughput(request)'.")
   in
   let run socket tcp jobs path net query method_ aggregate =
-    let options = client_options jobs method_ aggregate None false in
-    let request =
-      Service.Protocol.Query
-        { kind = kind_of path net; name = Filename.basename path; source = read_source path; query; options }
-    in
+    let options = Cli_support.protocol_options ~jobs method_ aggregate None false in
+    let request = Cli_support.query_request ~path ~net ~query options in
     with_conn socket tcp (fun conn ->
-        let output, diagnostics, _ = ok_or_exit (Service.Client.request conn request) in
-        print_string output;
-        Printf.eprintf "%s%!" diagnostics)
+        Cli_support.print_answer (Service.Client.request conn request))
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a measure expression on the daemon.")
@@ -555,11 +490,11 @@ let client_query_cmd =
    basename-derived model name the CLI gives text-notation documents. *)
 let read_document_source path =
   ignore (read_document path);
-  (Filename.remove_extension (Filename.basename path), read_source path)
+  (Filename.remove_extension (Filename.basename path), Cli_support.read_source path)
 
 let read_rates_source rates_path =
   ignore (load_rates rates_path);
-  Option.map read_source rates_path
+  Option.map Cli_support.read_source rates_path
 
 let data_field field data =
   match Obs.Json.member field data with
@@ -590,10 +525,10 @@ let client_pipeline_cmd =
   let run socket tcp jobs input output rates_path method_ absorb aggregate fluid xmltable =
     let name, document = read_document_source input in
     let rates = read_rates_source rates_path in
-    let options = client_options jobs method_ aggregate fluid absorb in
+    let options = Cli_support.protocol_options ~jobs method_ aggregate fluid absorb in
     let request = Service.Protocol.Pipeline { name; document; rates; options } in
     with_conn socket tcp (fun conn ->
-        let out, diagnostics, data = ok_or_exit (Service.Client.request conn request) in
+        let out, diagnostics, data = Cli_support.ok_or_exit (Service.Client.request conn request) in
         Printf.eprintf "%s%!" diagnostics;
         write_file_string output (data_field "reflected" data);
         print_string out;
@@ -620,10 +555,10 @@ let client_reflect_cmd =
   let run socket tcp jobs input output rates_path method_ absorb aggregate fluid =
     let name, document = read_document_source input in
     let rates = read_rates_source rates_path in
-    let options = client_options jobs method_ aggregate fluid absorb in
+    let options = Cli_support.protocol_options ~jobs method_ aggregate fluid absorb in
     let request = Service.Protocol.Reflect { name; document; rates; options } in
     with_conn socket tcp (fun conn ->
-        let _, diagnostics, data = ok_or_exit (Service.Client.request conn request) in
+        let _, diagnostics, data = Cli_support.ok_or_exit (Service.Client.request conn request) in
         Printf.eprintf "%s%!" diagnostics;
         write_file_string output (data_field "reflected" data);
         Printf.printf "reflected model written to %s\n" output)
@@ -725,13 +660,13 @@ let client_sweep_cmd =
       Printf.eprintf "error: sweep needs at least one --rate or --replicas axis\n";
       exit 2
     end;
-    let options = client_options jobs method_ aggregate fluid false in
+    let options = Cli_support.protocol_options ~jobs method_ aggregate fluid false in
     let request =
       Service.Protocol.Sweep
         {
-          kind = kind_of path net;
+          kind = Cli_support.kind_of path net;
           name = Filename.basename path;
-          source = read_source path;
+          source = Cli_support.read_source path;
           options;
           axes;
           backend;
@@ -739,7 +674,7 @@ let client_sweep_cmd =
         }
     in
     with_conn socket tcp (fun conn ->
-        let _, diagnostics, data = ok_or_exit (Service.Client.request conn request) in
+        let _, diagnostics, data = Cli_support.ok_or_exit (Service.Client.request conn request) in
         Printf.eprintf "%s%!" diagnostics;
         let text = Obs.Json.to_string ~pretty:true data ^ "\n" in
         match out with
@@ -760,7 +695,7 @@ let client_sweep_cmd =
 let client_stats_cmd =
   let run socket tcp =
     with_conn socket tcp (fun conn ->
-        let _, _, data = ok_or_exit (Service.Client.request conn Service.Protocol.Stats) in
+        let _, _, data = Cli_support.ok_or_exit (Service.Client.request conn Service.Protocol.Stats) in
         print_endline (Obs.Json.to_string ~pretty:true data))
   in
   Cmd.v
@@ -770,7 +705,7 @@ let client_stats_cmd =
 let client_shutdown_cmd =
   let run socket tcp =
     with_conn socket tcp (fun conn ->
-        let _ = ok_or_exit (Service.Client.request conn Service.Protocol.Shutdown) in
+        let _ = Cli_support.ok_or_exit (Service.Client.request conn Service.Protocol.Shutdown) in
         print_endline "daemon stopped")
   in
   Cmd.v

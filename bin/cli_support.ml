@@ -1,6 +1,8 @@
 (* Command-line plumbing shared by the Choreographer and Workbench
-   front ends: the steady-state method converter and the telemetry
-   flags (--log-level, --trace, --metrics). *)
+   front ends: the analysis option converters, the telemetry flags
+   (--log-level, --trace, --metrics), the run ledger, the error
+   contract and the request path that one-shot and daemon-client
+   solves and queries share. *)
 
 open Cmdliner
 
@@ -25,17 +27,7 @@ let method_arg =
            on large chains).")
 
 let aggregate_conv =
-  let parse s =
-    match Markov.Lump.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown aggregation mode %s (valid: none, symmetry, lump, both)"
-               s))
-  in
-  let print fmt m = Format.pp_print_string fmt (Markov.Lump.mode_to_string m) in
-  Arg.conv (parse, print)
+  protocol_conv Service.Protocol.aggregate_of_string Markov.Lump.mode_to_string
 
 let aggregate_arg =
   Arg.(
@@ -78,20 +70,7 @@ let fluid_arg =
 (* Parallel execution                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | Some _ | None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "invalid job count %s (valid: 1 for the sequential solver, N >= 2 for N \
-                domains, 0 to auto-detect)"
-               s))
-  in
-  let print fmt n = Format.pp_print_int fmt n in
-  Arg.conv (parse, print)
+let jobs_conv = protocol_conv Service.Protocol.jobs_of_string string_of_int
 
 let jobs_arg =
   Arg.(
@@ -107,9 +86,6 @@ let jobs_arg =
            machine's core count.  Results are deterministic at any job count: \
            BiCGStab is bitwise identical to the sequential run, and Jacobi and power \
            probabilities agree to within the solver tolerance.")
-
-let print_fluid_stats (stats : Fluid.Rk45.stats) =
-  Printf.eprintf "%s%!" (Choreographer.Render.fluid_stats_line stats)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry flags                                                     *)
@@ -224,11 +200,6 @@ let model_hash path =
   | hash -> hash
   | exception Sys_error _ -> ""
 
-(* Option stringifiers for ledger records — the same normalised forms
-   the daemon uses in cache keys and its own ledger records. *)
-let method_string = Service.Protocol.method_to_string
-let fluid_string = Service.Protocol.fluid_to_string
-
 let arm_ledger ~tool ~model ~options =
   if !ledger_path <> None then begin
     let hash = if model = "-" then "" else model_hash model in
@@ -302,7 +273,7 @@ let telemetry_term =
     $ no_ledger_arg $ sample_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Solver diagnostics                                                  *)
+(* The error contract and the request path                            *)
 (* ------------------------------------------------------------------ *)
 
 let print_solver_stats () =
@@ -310,19 +281,19 @@ let print_solver_stats () =
   | Some stats -> Printf.eprintf "%s%!" (Choreographer.Render.solver_stats_line stats)
   | None -> ()
 
-(* Non-convergence is distinguished from ordinary model errors (exit 1)
-   so scripted callers can retry with another method or more
-   iterations.  The renderings live in [Service.Errors] so the daemon
-   ships the exact same bytes and exit codes over the wire. *)
-let exit_did_not_converge = Service.Errors.analysis_failure_code
-
-let report_rendered (r : Service.Errors.rendered) =
-  Printf.eprintf "%s%!" r.Service.Errors.message;
-  set_run_status r.Service.Errors.status;
-  exit r.Service.Errors.code
-
-let report_did_not_converge ~method_used ~iterations ~residual =
-  report_rendered (Service.Errors.did_not_converge ~method_used ~iterations ~residual)
+(* Model errors exit 1 and non-convergence exits 2, so scripted
+   callers can retry with another method or more iterations.  The
+   renderings live in [Service.Errors], which the daemon ships over
+   the wire with the same bytes and exit codes. *)
+let handle_errors f =
+  try f () with
+  | exn -> (
+      match Service.Errors.of_exn exn with
+      | Some r ->
+          Printf.eprintf "%s%!" r.Service.Errors.message;
+          set_run_status r.Service.Errors.status;
+          exit r.Service.Errors.code
+      | None -> raise exn)
 
 (* Invalid option values (unknown --method, --aggregate, --fluid forms,
    ...) exit 2 rather than cmdliner's default 124, so scripts can treat
@@ -334,8 +305,58 @@ let eval_cli ?argv cmd =
   | Error (`Parse | `Term) -> 2
   | Error `Exn -> 125
 
-let report_did_not_reach_steady ~steps ~t ~dx_norm =
-  report_rendered (Service.Errors.did_not_reach_steady ~steps ~t ~dx_norm)
+let protocol_options ~jobs method_ aggregate fluid absorb =
+  {
+    Service.Protocol.default_options with
+    method_;
+    aggregate;
+    fluid;
+    jobs;
+    restart = (if absorb then `Absorb else `Cycle);
+  }
 
-let report_step_budget_exhausted ~steps ~t ~error_estimate =
-  report_rendered (Service.Errors.step_budget_exhausted ~steps ~t ~error_estimate)
+let read_source path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 1
+
+let kind_of path explicit_net =
+  if explicit_net || Filename.check_suffix path ".pepanet" then Service.Protocol.Net
+  else Service.Protocol.Pepa
+
+let solve_request ~path ~net options =
+  Service.Protocol.Solve
+    { kind = kind_of path net; name = Filename.basename path; source = read_source path; options }
+
+let query_request ~path ~net ~query options =
+  Service.Protocol.Query
+    {
+      kind = kind_of path net;
+      name = Filename.basename path;
+      source = read_source path;
+      query;
+      options;
+    }
+
+(* Replay an answer with the one-shot CLI's contract: an error
+   response carries the exact stderr bytes and exit code. *)
+let ok_or_exit = function
+  | Service.Protocol.Ok_response { output; diagnostics; data } -> (output, diagnostics, data)
+  | Service.Protocol.Error_response { code; message } ->
+      Printf.eprintf "%s%!" message;
+      exit code
+
+let print_answer response =
+  let output, diagnostics, _ = ok_or_exit response in
+  print_string output;
+  Printf.eprintf "%s%!" diagnostics
+
+(* The one-shot transport: answer the request on a fresh in-process
+   engine — the daemon's stage graph with an empty cache — and record
+   the engine's options and status in this run's ledger record. *)
+let answer_locally ~tool ~model request =
+  let outcome = Service.Engine.handle (Service.Engine.create ()) request in
+  arm_ledger ~tool ~model ~options:outcome.Service.Engine.option_pairs;
+  set_run_status outcome.Service.Engine.status;
+  outcome.Service.Engine.response

@@ -4,7 +4,7 @@
 
 open Cmdliner
 
-let is_net_file path explicit_net = explicit_net || Filename.check_suffix path ".pepanet"
+let is_net_file path net = Cli_support.kind_of path net = Service.Protocol.Net
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"MODEL" ~doc:"A .pepa or .pepanet file.")
@@ -12,69 +12,22 @@ let file_arg =
 let net_arg =
   Arg.(value & flag & info [ "net" ] ~doc:"Force PEPA net interpretation regardless of suffix.")
 
-let method_arg = Cli_support.method_arg
+let handle_errors = Cli_support.handle_errors
 
-let handle_errors f =
-  try f () with
-  | Choreographer.Workbench.Analysis_error msg ->
-      Cli_support.set_run_status ("error: " ^ msg);
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-  | Markov.Steady.Did_not_converge { method_used; iterations; residual } ->
-      Cli_support.report_did_not_converge ~method_used ~iterations ~residual
-  | Fluid.Rk45.Did_not_reach_steady { steps; t; dx_norm } ->
-      Cli_support.report_did_not_reach_steady ~steps ~t ~dx_norm
-  | Fluid.Rk45.Step_budget_exhausted { steps; t; error_estimate } ->
-      Cli_support.report_step_budget_exhausted ~steps ~t ~error_estimate
-
+(* [solve] and [query] build the request [choreographer client] sends
+   and answer it on an in-process engine, so both tools print the same
+   bytes and exit with the same codes. *)
 let solve_cmd =
   let run jobs path net method_ aggregate fluid =
-    handle_errors (fun () ->
-        Cli_support.arm_ledger ~tool:"workbench solve" ~model:path
-          ~options:
-            [
-              ("jobs", string_of_int jobs);
-              ("method", Cli_support.method_string method_);
-              ("aggregate", Markov.Lump.mode_to_string aggregate);
-              ("fluid", Cli_support.fluid_string fluid);
-              ("net", string_of_bool (is_net_file path net));
-            ];
-        (* All solve output goes through [Choreographer.Render], the
-           rendering the daemon also ships — the service tests cmp the
-           two byte for byte. *)
-        if is_net_file path net then begin
-          match fluid with
-          | Some tolerances ->
-              let analysis =
-                Choreographer.Workbench.analyse_net_fluid_file ~tolerances path
-              in
-              print_string (Choreographer.Render.net_fluid_solve analysis);
-              Cli_support.print_fluid_stats
-                analysis.Choreographer.Workbench.net_fluid_stats
-          | None ->
-              let analysis =
-                Choreographer.Workbench.analyse_net_file ?method_ ~aggregate ~jobs path
-              in
-              print_string (Choreographer.Render.net_solve analysis);
-              Cli_support.print_solver_stats ()
-        end
-        else
-          match fluid with
-          | Some tolerances ->
-              let analysis = Choreographer.Workbench.analyse_pepa_fluid_file ~tolerances path in
-              print_string (Choreographer.Render.pepa_fluid_solve analysis);
-              Cli_support.print_fluid_stats analysis.Choreographer.Workbench.fluid_stats
-          | None ->
-              let analysis =
-                Choreographer.Workbench.analyse_pepa_file ?method_ ~aggregate ~jobs path
-              in
-              print_string (Choreographer.Render.pepa_solve analysis);
-              Cli_support.print_solver_stats ())
+    let options = Cli_support.protocol_options ~jobs method_ aggregate fluid false in
+    Cli_support.print_answer
+      (Cli_support.answer_locally ~tool:"workbench solve" ~model:path
+         (Cli_support.solve_request ~path ~net options))
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Steady-state solution and throughput of every action type.")
     Term.(
-      const run $ Cli_support.telemetry_term $ file_arg $ net_arg $ method_arg
+      const run $ Cli_support.telemetry_term $ file_arg $ net_arg $ Cli_support.method_arg
       $ Cli_support.aggregate_arg $ Cli_support.fluid_arg)
 
 let statespace_cmd =
@@ -233,43 +186,18 @@ let passage_cmd =
   in
   let run _jobs path net times action =
     handle_errors (fun () ->
-        if is_net_file path net then begin
-          let space = Pepanet.Net_statespace.of_file path in
-          let labelled tr =
-            match tr.Pepanet.Net_statespace.label with
-            | Pepanet.Net_semantics.Local a -> Pepa.Action.name a = Some action
-            | Pepanet.Net_semantics.Fire { action = a; _ } -> a = action
-          in
-          let matching = List.filter labelled (Pepanet.Net_statespace.transitions space) in
-          let sources =
-            List.map (fun tr -> (tr.Pepanet.Net_statespace.src, 1.0)) matching
-            |> List.sort_uniq compare
-          in
-          let targets =
-            List.map (fun tr -> tr.Pepanet.Net_statespace.dst) matching
-            |> List.sort_uniq compare
-          in
-          report (Pepanet.Net_statespace.ctmc space) sources targets times action
-        end
-        else begin
-          let space =
-            Pepa.Statespace.of_string (In_channel.with_open_bin path In_channel.input_all)
-          in
-          let chain = Pepa.Statespace.ctmc space in
-          let sources =
-            Pepa.Analysis.states_enabling space action |> List.map (fun s -> (s, 1.0))
-          in
-          let targets =
-            List.filter_map
-              (fun tr ->
-                if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act action) then
-                  Some tr.Pepa.Statespace.dst
-                else None)
-              (Pepa.Statespace.transitions space)
-            |> List.sort_uniq compare
-          in
-          report chain sources targets times action
-        end)
+        let chain, (sources, targets) =
+          if is_net_file path net then
+            let space = Pepanet.Net_statespace.of_file path in
+            ( Pepanet.Net_statespace.ctmc space,
+              Pepanet.Net_measures.passage_endpoints space action )
+          else
+            let space =
+              Pepa.Statespace.of_string (In_channel.with_open_bin path In_channel.input_all)
+            in
+            (Pepa.Statespace.ctmc space, Pepa.Analysis.passage_endpoints space action)
+        in
+        report chain (List.map (fun s -> (s, 1.0)) sources) targets times action)
   in
   Cmd.v
     (Cmd.info "passage"
@@ -322,20 +250,11 @@ let query_cmd =
             "Measure expression, e.g. 'throughput(request)' or \
              'passage(request -> response).mean'.")
   in
-  let run _jobs path net query_text =
-    handle_errors (fun () ->
-        try
-          let context =
-            if is_net_file path net then
-              Choreographer.Query.context_of_net (Choreographer.Workbench.analyse_net_file path)
-            else
-              Choreographer.Query.context_of_pepa
-                (Choreographer.Workbench.analyse_pepa_file path)
-          in
-          Printf.printf "%.10g\n" (Choreographer.Query.eval_string context query_text)
-        with Choreographer.Query.Query_error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1)
+  let run jobs path net query =
+    let options = { Service.Protocol.default_options with jobs } in
+    Cli_support.print_answer
+      (Cli_support.answer_locally ~tool:"workbench query" ~model:path
+         (Cli_support.query_request ~path ~net ~query options))
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a measure expression against a solved model.")

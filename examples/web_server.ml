@@ -65,22 +65,9 @@ let response_time_distribution study =
   let chain = Pepa.Statespace.ctmc space in
   let sources =
     (* states the client enters by performing request *)
-    List.filter_map
-      (fun tr ->
-        if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act "request") then
-          Some (tr.Pepa.Statespace.dst, 1.0)
-        else None)
-      (Pepa.Statespace.transitions space)
+    List.map (fun s -> (s, 1.0)) (snd (Pepa.Analysis.passage_endpoints space "request"))
   in
-  let targets =
-    List.filter_map
-      (fun tr ->
-        if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act "response") then
-          Some tr.Pepa.Statespace.dst
-        else None)
-      (Pepa.Statespace.transitions space)
-    |> List.sort_uniq compare
-  in
+  let targets = snd (Pepa.Analysis.passage_endpoints space "response") in
   Printf.printf "mean response time: %.4f s\n" (Markov.Passage.mean chain ~sources ~targets);
   List.iter
     (fun (t, p) -> Printf.printf "  P(response within %4.2f s) = %.4f\n" t p)

@@ -263,15 +263,7 @@ let context_of_pepa (analysis : Workbench.pepa_analysis) =
         else None);
     utilisation = (fun name -> Results.probability results name);
     located = (fun _ _ -> None);
-    reached_by =
-      (fun a ->
-        List.filter_map
-          (fun tr ->
-            if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act a) then
-              Some tr.Pepa.Statespace.dst
-            else None)
-          (Pepa.Statespace.transitions space)
-        |> List.sort_uniq compare);
+    reached_by = (fun a -> snd (Pepa.Analysis.passage_endpoints space a));
   }
 
 let context_of_net (analysis : Workbench.net_analysis) =
@@ -285,11 +277,6 @@ let context_of_net (analysis : Workbench.net_analysis) =
       else scan (i + 1)
     in
     scan 0
-  in
-  let labelled a tr =
-    match tr.Pepanet.Net_statespace.label with
-    | Pepanet.Net_semantics.Local action -> Pepa.Action.name action = Some a
-    | Pepanet.Net_semantics.Fire { action; _ } -> action = a
   in
   {
     chain = Pepanet.Net_statespace.ctmc space;
@@ -307,13 +294,7 @@ let context_of_net (analysis : Workbench.net_analysis) =
               (List.assoc_opt place
                  (Pepanet.Net_measures.token_location_probabilities space pi ~token:id)))
           (token_id token));
-    reached_by =
-      (fun a ->
-        List.filter_map
-          (fun tr ->
-            if labelled a tr then Some tr.Pepanet.Net_statespace.dst else None)
-          (Pepanet.Net_statespace.transitions space)
-        |> List.sort_uniq compare);
+    reached_by = (fun a -> snd (Pepanet.Net_measures.passage_endpoints space a));
   }
 
 let rec eval context = function

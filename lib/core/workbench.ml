@@ -152,11 +152,6 @@ let analyse_pepa_string ?(name = "model") ?method_ ?max_states ?aggregate ?jobs 
   let model = parse_pepa ~name src in
   analyse_pepa ~name ?method_ ?max_states ?aggregate ?jobs model
 
-let analyse_pepa_file ?method_ ?max_states ?aggregate ?jobs path =
-  let name = Filename.basename path in
-  let model = wrap name (fun () -> Pepa.Parser.model_of_file path) in
-  analyse_pepa ~name ?method_ ?max_states ?aggregate ?jobs model
-
 let analyse_pepa_fluid ?(name = "model") ?tolerances model =
   Obs.Span.with_ ~attrs:[ ("model", Obs.Span.Str name) ] "workbench.analyse_pepa_fluid"
     (fun _ ->
@@ -168,11 +163,6 @@ let analyse_pepa_fluid ?(name = "model") ?tolerances model =
 
 let analyse_pepa_fluid_string ?(name = "model") ?tolerances src =
   let model = parse_pepa ~name src in
-  analyse_pepa_fluid ~name ?tolerances model
-
-let analyse_pepa_fluid_file ?tolerances path =
-  let name = Filename.basename path in
-  let model = wrap name (fun () -> Pepa.Parser.model_of_file path) in
   analyse_pepa_fluid ~name ?tolerances model
 
 let analyse_net_fluid ?(name = "net") ?tolerances net =
@@ -190,11 +180,6 @@ let analyse_net_fluid ?(name = "net") ?tolerances net =
 
 let analyse_net_fluid_string ?(name = "net") ?tolerances src =
   let net = parse_net ~name src in
-  analyse_net_fluid ~name ?tolerances net
-
-let analyse_net_fluid_file ?tolerances path =
-  let name = Filename.basename path in
-  let net = wrap name (fun () -> Pepanet.Net_parser.net_of_file path) in
   analyse_net_fluid ~name ?tolerances net
 
 let analyse_net ?(name = "net") ?method_ ?max_markings ?(aggregate = Markov.Lump.No_agg)
@@ -220,11 +205,6 @@ let analyse_net ?(name = "net") ?method_ ?max_markings ?(aggregate = Markov.Lump
 
 let analyse_net_string ?(name = "net") ?method_ ?max_markings ?aggregate ?jobs src =
   let net = parse_net ~name src in
-  analyse_net ~name ?method_ ?max_markings ?aggregate ?jobs net
-
-let analyse_net_file ?method_ ?max_markings ?aggregate ?jobs path =
-  let name = Filename.basename path in
-  let net = wrap name (fun () -> Pepanet.Net_parser.net_of_file path) in
   analyse_net ~name ?method_ ?max_markings ?aggregate ?jobs net
 
 let fluid_local_probabilities analysis ~leaf =

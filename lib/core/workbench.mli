@@ -78,14 +78,6 @@ val analyse_pepa_string :
   string ->
   pepa_analysis
 
-val analyse_pepa_file :
-  ?method_:Markov.Steady.method_ ->
-  ?max_states:int ->
-  ?aggregate:Markov.Lump.mode ->
-  ?jobs:int ->
-  string ->
-  pepa_analysis
-
 val analyse_pepa_fluid :
   ?name:string ->
   ?tolerances:Fluid.Rk45.tolerances ->
@@ -104,9 +96,6 @@ val analyse_pepa_fluid :
 
 val analyse_pepa_fluid_string :
   ?name:string -> ?tolerances:Fluid.Rk45.tolerances -> string -> fluid_analysis
-
-val analyse_pepa_fluid_file :
-  ?tolerances:Fluid.Rk45.tolerances -> string -> fluid_analysis
 
 val analyse_net_fluid :
   ?name:string ->
@@ -127,9 +116,6 @@ val analyse_net_fluid :
 val analyse_net_fluid_string :
   ?name:string -> ?tolerances:Fluid.Rk45.tolerances -> string -> net_fluid_analysis
 
-val analyse_net_fluid_file :
-  ?tolerances:Fluid.Rk45.tolerances -> string -> net_fluid_analysis
-
 val analyse_net :
   ?name:string ->
   ?method_:Markov.Steady.method_ ->
@@ -144,14 +130,6 @@ val analyse_net :
 
 val analyse_net_string :
   ?name:string ->
-  ?method_:Markov.Steady.method_ ->
-  ?max_markings:int ->
-  ?aggregate:Markov.Lump.mode ->
-  ?jobs:int ->
-  string ->
-  net_analysis
-
-val analyse_net_file :
   ?method_:Markov.Steady.method_ ->
   ?max_markings:int ->
   ?aggregate:Markov.Lump.mode ->

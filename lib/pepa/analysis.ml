@@ -1,32 +1,35 @@
 let deadlock_free space = Statespace.deadlocks space = []
 
-let reachable_action space name =
-  List.exists
-    (fun tr -> Action.equal tr.Statespace.action (Action.Act name))
-    (Statespace.transitions space)
+(* Per-state flags: whether the state has an outgoing (enabled) and an
+   incoming (entered) transition of the named action type. *)
+let action_flags space name =
+  let n = Statespace.n_states space in
+  let enabled = Array.make n false and entered = Array.make n false in
+  Statespace.iter_transitions space (fun ~src ~action ~rate:_ ~dst ->
+      if Action.name action = Some name then begin
+        enabled.(src) <- true;
+        entered.(dst) <- true
+      end);
+  (enabled, entered)
 
-let states_enabling space name =
-  let enabled = Hashtbl.create 16 in
-  List.iter
-    (fun tr ->
-      if Action.equal tr.Statespace.action (Action.Act name) then
-        Hashtbl.replace enabled tr.Statespace.src ())
-    (Statespace.transitions space);
-  List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) enabled [])
+let indices flags =
+  let acc = ref [] in
+  for i = Array.length flags - 1 downto 0 do
+    if flags.(i) then acc := i :: !acc
+  done;
+  !acc
+
+let reachable_action space name = Array.exists Fun.id (fst (action_flags space name))
+let states_enabling space name = indices (fst (action_flags space name))
+
+let passage_endpoints space name =
+  let enabled, entered = action_flags space name in
+  (indices enabled, indices entered)
 
 let never_follows space ~first ~then_ =
-  let after_first = Hashtbl.create 16 in
-  List.iter
-    (fun tr ->
-      if Action.equal tr.Statespace.action (Action.Act first) then
-        Hashtbl.replace after_first tr.Statespace.dst ())
-    (Statespace.transitions space);
-  not
-    (List.exists
-       (fun tr ->
-         Action.equal tr.Statespace.action (Action.Act then_)
-         && Hashtbl.mem after_first tr.Statespace.src)
-       (Statespace.transitions space))
+  let _, after_first = action_flags space first in
+  let enabled, _ = action_flags space then_ in
+  not (Array.exists2 ( && ) after_first enabled)
 
 let eventually_reaches space ~from name =
   let n = Statespace.n_states space in
@@ -36,15 +39,12 @@ let eventually_reaches space ~from name =
   Queue.add from queue;
   let found = ref false in
   while (not !found) && not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter
-      (fun tr ->
-        if Action.equal tr.Statespace.action (Action.Act name) then found := true;
-        if not seen.(tr.Statespace.dst) then begin
-          seen.(tr.Statespace.dst) <- true;
-          Queue.add tr.Statespace.dst queue
+    Statespace.iter_transitions_from space (Queue.pop queue) (fun ~action ~rate:_ ~dst ->
+        if Action.name action = Some name then found := true;
+        if not seen.(dst) then begin
+          seen.(dst) <- true;
+          Queue.add dst queue
         end)
-      (Statespace.transitions_from space s)
   done;
   !found
 

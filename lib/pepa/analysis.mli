@@ -9,7 +9,12 @@ val reachable_action : Statespace.t -> string -> bool
 (** Whether the named action occurs on any reachable transition. *)
 
 val states_enabling : Statespace.t -> string -> int list
-(** Indices of states in which the named action is enabled. *)
+(** Indices of states in which the named action is enabled, sorted. *)
+
+val passage_endpoints : Statespace.t -> string -> int list * int list
+(** [(sources, targets)] of a passage around the named action: the
+    states in which it is enabled and the states its transitions
+    enter, each sorted. *)
 
 val never_follows : Statespace.t -> first:string -> then_:string -> bool
 (** [never_follows space ~first ~then_] holds when no reachable state

@@ -1,14 +1,11 @@
-type transition = { src : int; action : Action.t; rate : float; dst : int }
-
 (* Transitions live in a compressed grouped stream with the action
    types interned into a small table: [row_start] delimits each source
    state's slice (the src column is its run-length encoding and is
    never stored), and each transition packs destination and action id
    into one word next to its rate — two words per transition where the
    seed layout spent four.  The CTMC assembles straight from the
-   stream ([Ctmc.of_grouped]); the historical list-returning API
-   survives as a thin compatibility layer that materialises (and
-   caches) records on demand. *)
+   stream ([Ctmc.of_grouped]), and every other consumer reads it
+   through the allocation-free iterators. *)
 type t = {
   compiled : Compile.t;
   symmetry : Symmetry.t;  (* trivial unless built with ~symmetry:true *)
@@ -19,8 +16,6 @@ type t = {
   tr_rate : float array;
   actions : Action.t array;  (* interned action table *)
   row_start : int array;  (* CSR over transitions grouped by src; length n_states + 1 *)
-  mutable transition_cache : transition list option;
-  mutable outgoing_cache : transition list array option;
   mutable chain : Markov.Ctmc.t option;
   mutable lump : Markov.Lump.t option;
   mutable marginals : (float array * (string * float) list array) option;
@@ -272,8 +267,6 @@ let build ?(max_states = 1_000_000) ?(symmetry = false) compiled =
     tr_rate;
     actions = Array.of_list (List.rev !action_list);
     row_start;
-    transition_cache = None;
-    outgoing_cache = None;
     chain = None;
     lump = None;
     marginals = None;
@@ -297,16 +290,10 @@ let state t i =
 let state_label t i = Compile.state_label t.compiled (state t i)
 let initial_index _ = 0
 
-(* The source of transition [k] is implicit in [row_start]; record
-   consumers all iterate by row, so it is threaded in rather than
-   searched for. *)
-let transition_record t ~src k =
-  {
-    src;
-    action = t.actions.(tr_action_id t k);
-    rate = t.tr_rate.(k);
-    dst = tr_dst t k;
-  }
+let iter_transitions_from t s f =
+  for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
+    f ~action:t.actions.(tr_action_id t k) ~rate:t.tr_rate.(k) ~dst:(tr_dst t k)
+  done
 
 let iter_transitions t f =
   for s = 0 to t.n_states - 1 do
@@ -314,43 +301,6 @@ let iter_transitions t f =
       f ~src:s ~action:t.actions.(tr_action_id t k) ~rate:t.tr_rate.(k) ~dst:(tr_dst t k)
     done
   done
-
-let fold_transitions t f init =
-  let acc = ref init in
-  for s = 0 to t.n_states - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      acc :=
-        f !acc ~src:s ~action:t.actions.(tr_action_id t k) ~rate:t.tr_rate.(k)
-          ~dst:(tr_dst t k)
-    done
-  done;
-  !acc
-
-let transitions t =
-  match t.transition_cache with
-  | Some l -> l
-  | None ->
-      let acc = ref [] in
-      for s = n_states t - 1 downto 0 do
-        for k = t.row_start.(s + 1) - 1 downto t.row_start.(s) do
-          acc := transition_record t ~src:s k :: !acc
-        done
-      done;
-      t.transition_cache <- Some !acc;
-      !acc
-
-let transitions_from t i =
-  match t.outgoing_cache with
-  | Some rows -> rows.(i)
-  | None ->
-      let rows =
-        Array.init (n_states t) (fun s ->
-            List.init
-              (t.row_start.(s + 1) - t.row_start.(s))
-              (fun k -> transition_record t ~src:s (t.row_start.(s) + k)))
-      in
-      t.outgoing_cache <- Some rows;
-      rows.(i)
 
 let deadlocks t =
   let result = ref [] in
@@ -378,8 +328,6 @@ let ctmc t =
       c
 
 let release_derived t =
-  t.transition_cache <- None;
-  t.outgoing_cache <- None;
   t.chain <- None;
   t.lump <- None;
   t.marginals <- None

@@ -11,9 +11,9 @@
     is the src column's run-length encoding (so no src column exists),
     and each transition packs destination and action id into a single
     word next to its rate — two words per transition.  The CTMC is
-    assembled straight from the stream; the list-returning accessors
-    below are a compatibility layer that materialises records on demand
-    (cached, so repeated calls stay cheap).
+    assembled straight from the stream, and callers read it through
+    {!iter_transitions} and {!iter_transitions_from}, which allocate
+    nothing per transition.
 
     State vectors are bit-packed through {!Statekey} before they touch
     any table: the intern structures hold compact byte keys hashed
@@ -21,8 +21,6 @@
     arena (a few bytes per state instead of a boxed [int array]), so
     exploration memory is dominated by the transition columns rather
     than the state store.  Accessors decode on demand. *)
-
-type transition = { src : int; action : Action.t; rate : float; dst : int }
 
 type t
 
@@ -101,20 +99,15 @@ val state : t -> int -> int array
 val state_label : t -> int -> string
 val initial_index : t -> int
 
-val transitions : t -> transition list
-(** All transitions as records, in exploration order (grouped by
-    source).  Materialised from the compressed stream on first call and
-    cached. *)
-
-val transitions_from : t -> int -> transition list
-
 val iter_transitions :
   t -> (src:int -> action:Action.t -> rate:float -> dst:int -> unit) -> unit
-(** Iterate the compressed stream directly — no list, no record
+(** Every transition in exploration order (grouped by source), read
+    straight off the compressed stream — no list, no record
     allocation. *)
 
-val fold_transitions :
-  t -> ('a -> src:int -> action:Action.t -> rate:float -> dst:int -> 'a) -> 'a -> 'a
+val iter_transitions_from :
+  t -> int -> (action:Action.t -> rate:float -> dst:int -> unit) -> unit
+(** The outgoing transitions of one state, in exploration order. *)
 
 val deadlocks : t -> int list
 (** Indices of states with no outgoing transitions. *)
@@ -131,8 +124,8 @@ val ctmc : t -> Markov.Ctmc.t
 
 val release_derived : t -> unit
 (** Drop every cached derived structure — the CTMC (and its transposed
-    generator), the lump partition, and the materialised transition
-    record lists.  They are rebuilt on demand by the next accessor, so
+    generator), the lump partition and the marginal table.  They are
+    rebuilt on demand by the next accessor, so
     this only trades time for space: callers holding several large
     spaces at once (the benchmark harness between its sequential and
     parallel pipelines) use it to keep one pipeline's CSR matrices from

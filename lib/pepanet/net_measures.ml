@@ -7,6 +7,17 @@ let label_matches_action name = function
   | Net_semantics.Local action -> Pepa.Action.name action = Some name
   | Net_semantics.Fire { action; _ } -> action = name
 
+let passage_endpoints space name =
+  let n = Net_statespace.n_markings space in
+  let enabled = Array.make n false and entered = Array.make n false in
+  Net_statespace.iter_transitions space (fun ~src ~label ~rate:_ ~dst ->
+      if label_matches_action name label then begin
+        enabled.(src) <- true;
+        entered.(dst) <- true
+      end);
+  let indices flags = List.filter (fun i -> flags.(i)) (List.init n Fun.id) in
+  (indices enabled, indices entered)
+
 let throughput space pi name =
   let labels = Net_statespace.labels space in
   let flux = Net_statespace.label_flux space pi in

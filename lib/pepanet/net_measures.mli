@@ -1,6 +1,12 @@
 (** Performance measures over a solved PEPA net: the quantities
     Choreographer reflects back into UML models. *)
 
+val passage_endpoints : Net_statespace.t -> string -> int list * int list
+(** [(sources, targets)] of a passage around the named action type
+    (local occurrences and firings alike): the markings with an
+    outgoing and the markings with an incoming transition of that type,
+    each sorted. *)
+
 val throughput : Net_statespace.t -> float array -> string -> float
 (** Steady-state throughput of a named action type, counting both local
     occurrences and net-level firings of that type. *)

@@ -1,10 +1,7 @@
-type transition = { src : int; label : Net_semantics.label; rate : float; dst : int }
-
 (* Same compressed stream layout as [Pepa.Statespace]: [row_start] is
    the src column's run-length encoding (no src column is stored), and
    each transition packs destination and interned label id into one
-   word next to its rate.  The list-returning API is kept as a cached
-   compatibility layer. *)
+   word next to its rate. *)
 type t = {
   compiled : Net_compile.t;
   markings : Marking.t array;
@@ -12,8 +9,6 @@ type t = {
   tr_rate : float array;
   labels : Net_semantics.label array;  (* interned label table *)
   row_start : int array;  (* CSR over transitions grouped by src; length n_markings + 1 *)
-  mutable transition_cache : transition list option;
-  mutable outgoing_cache : transition list array option;
   mutable chain : Markov.Ctmc.t option;
   mutable lump : Markov.Lump.t option;
 }
@@ -303,8 +298,6 @@ let build ?(max_markings = 1_000_000) ?(symmetry = false) compiled =
     tr_rate;
     labels = Array.of_list (List.rev !label_list);
     row_start;
-    transition_cache = None;
-    outgoing_cache = None;
     chain = None;
     lump = None;
   })
@@ -322,48 +315,12 @@ let marking t i = t.markings.(i)
 let marking_label t i = Marking.label t.compiled t.markings.(i)
 let initial_index _ = 0
 
-(* The source of transition [k] is implicit in [row_start]; record
-   consumers all iterate by row, so it is threaded in. *)
-let transition_record t ~src k =
-  {
-    src;
-    label = t.labels.(tr_label_id t k);
-    rate = t.tr_rate.(k);
-    dst = tr_dst t k;
-  }
-
 let iter_transitions t f =
   for s = 0 to n_markings t - 1 do
     for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
       f ~src:s ~label:t.labels.(tr_label_id t k) ~rate:t.tr_rate.(k) ~dst:(tr_dst t k)
     done
   done
-
-let transitions t =
-  match t.transition_cache with
-  | Some l -> l
-  | None ->
-      let acc = ref [] in
-      for s = n_markings t - 1 downto 0 do
-        for k = t.row_start.(s + 1) - 1 downto t.row_start.(s) do
-          acc := transition_record t ~src:s k :: !acc
-        done
-      done;
-      t.transition_cache <- Some !acc;
-      !acc
-
-let transitions_from t i =
-  match t.outgoing_cache with
-  | Some rows -> rows.(i)
-  | None ->
-      let rows =
-        Array.init (n_markings t) (fun s ->
-            List.init
-              (t.row_start.(s + 1) - t.row_start.(s))
-              (fun k -> transition_record t ~src:s (t.row_start.(s) + k)))
-      in
-      t.outgoing_cache <- Some rows;
-      rows.(i)
 
 let deadlocks t =
   let result = ref [] in
@@ -396,8 +353,6 @@ let ctmc t =
       c
 
 let release_derived t =
-  t.transition_cache <- None;
-  t.outgoing_cache <- None;
   t.chain <- None;
   t.lump <- None
 

@@ -4,16 +4,8 @@
     Transitions are stored as a compressed grouped stream (the
     row-boundary array encodes the src column; destination and interned
     label id share one word next to the rate — two words per
-    transition); the list-returning accessors are a cached
-    compatibility layer over it, and {!Net_measures} works straight off
-    the stream through {!label_flux}. *)
-
-type transition = {
-  src : int;
-  label : Net_semantics.label;
-  rate : float;
-  dst : int;
-}
+    transition), read through {!iter_transitions}; {!Net_measures}
+    works straight off the stream through {!label_flux}. *)
 
 type t
 
@@ -46,12 +38,10 @@ val n_transitions : t -> int
 val marking : t -> int -> Marking.t
 val marking_label : t -> int -> string
 val initial_index : t -> int
-val transitions : t -> transition list
-val transitions_from : t -> int -> transition list
-
 val iter_transitions :
   t -> (src:int -> label:Net_semantics.label -> rate:float -> dst:int -> unit) -> unit
-(** Iterate the compressed stream directly — no list, no record
+(** Every transition in exploration order (grouped by source), read
+    straight off the compressed stream — no list, no record
     allocation. *)
 
 val deadlocks : t -> int list
@@ -69,8 +59,7 @@ val label_flux : t -> float array -> float array
 val ctmc : t -> Markov.Ctmc.t
 
 val release_derived : t -> unit
-(** Drop the cached CTMC, lump partition and materialised record lists;
-    rebuilt on demand — see {!Pepa.Statespace.release_derived}. *)
+(** Drop the cached CTMC and lump partition; rebuilt on demand — see {!Pepa.Statespace.release_derived}. *)
 
 val lump_partition : t -> Markov.Lump.t
 (** Coarsest ordinary lumping of the marking chain respecting the

@@ -262,32 +262,16 @@ let pipeline_outcome entry stages ~name ~source ~rates ~(options : Protocol.opti
     ~project:(function A_outcome (o, d) -> Some (o, d) | _ -> None)
     ~inject:(fun (o, d) -> A_outcome (o, d))
     (fun () ->
-      let pipeline_options =
-        {
-          Choreographer.Pipeline.rates = rates_book;
-          restart = options.Protocol.restart;
-          method_ = options.Protocol.method_;
-          max_states = options.Protocol.max_states;
-          aggregate = options.Protocol.aggregate;
-          fluid = options.Protocol.fluid;
-          jobs = Some options.Protocol.jobs;
-        }
+      let outcome =
+        Choreographer.Pipeline.process_document
+          ~options:(Protocol.pipeline_options ~rates:rates_book options)
+          doc
       in
-      let outcome = Choreographer.Pipeline.process_document ~options:pipeline_options doc in
       (outcome, solver_diagnostics ()))
 
 (* ------------------------------------------------------------------ *)
 (* Verbs                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let option_pairs_of ~(options : Protocol.options) extra =
-  [
-    ("jobs", string_of_int options.Protocol.jobs);
-    ("method", Protocol.method_to_string options.Protocol.method_);
-    ("aggregate", Markov.Lump.mode_to_string options.Protocol.aggregate);
-    ("fluid", Protocol.fluid_to_string options.Protocol.fluid);
-  ]
-  @ extra
 
 let entry_key kind source = Protocol.kind_to_string kind ^ ":" ^ Digest.string source
 let fresh_entry () = { lock = Mutex.create (); memo = [] }
@@ -330,7 +314,7 @@ let handle t request =
         let options = normalise options in
         let hash = Digest.to_hex (Digest.string source) in
         let pairs =
-          option_pairs_of ~options [ ("kind", Protocol.kind_to_string kind) ]
+          Protocol.option_pairs options @ [ ("kind", Protocol.kind_to_string kind) ]
         in
         let work () =
           let entry, _ = Cache.find_or_create t.cache ~key:(entry_key kind source) fresh_entry in
@@ -366,8 +350,8 @@ let handle t request =
         let options = normalise options in
         let hash = Digest.to_hex (Digest.string source) in
         let pairs =
-          option_pairs_of ~options
-            [ ("kind", Protocol.kind_to_string kind); ("query", query) ]
+          Protocol.option_pairs options
+          @ [ ("kind", Protocol.kind_to_string kind); ("query", query) ]
         in
         let work () =
           let entry, _ = Cache.find_or_create t.cache ~key:(entry_key kind source) fresh_entry in
@@ -391,52 +375,16 @@ let handle t request =
               ok ~output:(Printf.sprintf "%.10g\n" value) ())
         in
         ("choreographerd query", name, hash, pairs, work)
-    | Protocol.Pipeline { name; document = source; rates; options } ->
-        let options = normalise options in
-        let hash = Digest.to_hex (Digest.string source) in
-        let pairs =
-          option_pairs_of ~options
-            [ ("absorb", string_of_bool (options.Protocol.restart = `Absorb)) ]
-        in
-        let work () =
-          let entry, _ =
-            Cache.find_or_create t.cache ~key:("doc:" ^ Digest.string source) fresh_entry
-          in
-          with_lock entry.lock (fun () ->
-              let outcome, diagnostics =
-                pipeline_outcome entry stages ~name ~source ~rates ~options
-              in
-              let tables =
-                String.concat ""
-                  (List.map Render.results outcome.Choreographer.Pipeline.results)
-              in
-              let xmltable =
-                Xml_kit.Minixml.Element
-                  ( "resultsets",
-                    [],
-                    List.map Choreographer.Results.to_xmltable
-                      outcome.Choreographer.Pipeline.results )
-              in
-              ok ~output:tables ~diagnostics
-                ~data:
-                  (Obs.Json.Obj
-                     [
-                       ( "reflected",
-                         Obs.Json.Str
-                           (Xml_kit.Minixml.to_string outcome.Choreographer.Pipeline.reflected)
-                       );
-                       ("xmltable", Obs.Json.Str (Xml_kit.Minixml.to_string xmltable));
-                     ])
-                ())
-        in
-        ("choreographerd pipeline", name, hash, pairs, work)
+    | Protocol.Pipeline { name; document = source; rates; options }
     | Protocol.Reflect { name; document = source; rates; options } ->
         let options = normalise options in
         let hash = Digest.to_hex (Digest.string source) in
         let pairs =
-          option_pairs_of ~options
-            [ ("absorb", string_of_bool (options.Protocol.restart = `Absorb)) ]
+          Protocol.option_pairs options
+          @ [ ("absorb", string_of_bool (options.Protocol.restart = `Absorb)) ]
         in
+        (* [reflect] is [pipeline] without the result tables. *)
+        let tables = match request with Protocol.Pipeline _ -> true | _ -> false in
         let work () =
           let entry, _ =
             Cache.find_or_create t.cache ~key:("doc:" ^ Digest.string source) fresh_entry
@@ -445,24 +393,32 @@ let handle t request =
               let outcome, diagnostics =
                 pipeline_outcome entry stages ~name ~source ~rates ~options
               in
-              ok ~diagnostics
-                ~data:
-                  (Obs.Json.Obj
-                     [
-                       ( "reflected",
-                         Obs.Json.Str
-                           (Xml_kit.Minixml.to_string outcome.Choreographer.Pipeline.reflected)
-                       );
-                     ])
-                ())
+              let results = outcome.Choreographer.Pipeline.results in
+              let xml_field key doc = (key, Obs.Json.Str (Xml_kit.Minixml.to_string doc)) in
+              let reflected = xml_field "reflected" outcome.Choreographer.Pipeline.reflected in
+              if tables then
+                ok
+                  ~output:(String.concat "" (List.map Render.results results))
+                  ~diagnostics
+                  ~data:
+                    (Obs.Json.Obj
+                       [
+                         reflected;
+                         xml_field "xmltable"
+                           (Xml_kit.Minixml.Element
+                              ("resultsets", [], List.map Choreographer.Results.to_xmltable results));
+                       ])
+                  ()
+              else ok ~diagnostics ~data:(Obs.Json.Obj [ reflected ]) ())
         in
-        ("choreographerd reflect", name, hash, pairs, work)
+        let tool = if tables then "choreographerd pipeline" else "choreographerd reflect" in
+        (tool, name, hash, pairs, work)
     | Protocol.Sweep { kind; name; source; options; axes; backend; warm_start } ->
         let options = normalise options in
         let hash = Digest.to_hex (Digest.string source) in
         let pairs =
-          option_pairs_of ~options
-            [
+          Protocol.option_pairs options
+          @ [
               ("kind", Protocol.kind_to_string kind);
               ("backend", Protocol.backend_to_string backend);
               ("warm_start", string_of_bool warm_start);

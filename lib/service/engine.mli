@@ -1,5 +1,8 @@
-(** The daemon's analysis engine: executes protocol requests against a
-    content-hash model cache.
+(** The analysis engine: executes protocol requests against a
+    content-hash model cache.  The daemon keeps one engine for its
+    lifetime; the one-shot [workbench solve] and [query] answer their
+    single request on a fresh one, so both share one stage graph and
+    one error contract.
 
     Models are cached under the MD5 of their source (per kind), and
     each cache entry holds the compiled artefact of every stage already
@@ -37,9 +40,9 @@ type outcome = {
 
 val handle : t -> Protocol.request -> outcome
 (** Execute one request.  Never raises on analysis failures — they
-    come back as {!Protocol.Error_response} with the one-shot CLI's
-    exit code and stderr bytes ({!Errors}); unexpected exceptions are
-    reported with code 125.  [Shutdown] is acknowledged with an empty
+    come back as {!Protocol.Error_response} with the CLI exit code and
+    stderr bytes ({!Errors}); unexpected exceptions are reported with
+    code 125.  [Shutdown] is acknowledged with an empty
     ok response; actually stopping is the server's business. *)
 
 val stats_json : t -> Obs.Json.t

@@ -152,6 +152,39 @@ let fluid_of_string = function
           | _ -> invalid ())
       | _ -> invalid ())
 
+let aggregate_of_string s =
+  match Markov.Lump.mode_of_string s with
+  | Some m -> m
+  | None -> fail "unknown aggregation mode %s (valid: none, symmetry, lump, both)" s
+
+let jobs_of_string s =
+  match int_of_string_opt s with
+  | Some n when n >= 0 -> n
+  | Some _ | None ->
+      fail
+        "invalid job count %s (valid: 1 for the sequential solver, N >= 2 for N domains, 0 \
+         to auto-detect)"
+        s
+
+let option_pairs o =
+  [
+    ("jobs", string_of_int o.jobs);
+    ("method", method_to_string o.method_);
+    ("aggregate", Markov.Lump.mode_to_string o.aggregate);
+    ("fluid", fluid_to_string o.fluid);
+  ]
+
+let pipeline_options ~rates o =
+  {
+    Choreographer.Pipeline.rates;
+    restart = o.restart;
+    method_ = o.method_;
+    max_states = o.max_states;
+    aggregate = o.aggregate;
+    fluid = o.fluid;
+    jobs = Some o.jobs;
+  }
+
 let kind_to_string = function Pepa -> "pepa" | Net -> "net"
 
 let kind_of_string = function
@@ -185,10 +218,7 @@ let options_of_json json =
       let aggregate =
         match member "aggregate" o with
         | None -> Markov.Lump.No_agg
-        | Some (Str s) -> (
-            match Markov.Lump.mode_of_string s with
-            | Some m -> m
-            | None -> fail "unknown aggregation mode %s" s)
+        | Some (Str s) -> aggregate_of_string s
         | Some _ -> fail "field aggregate is not a string"
       in
       let jobs = match member "jobs" o with None -> 1 | Some v -> count_field "jobs" v in

@@ -95,6 +95,27 @@ val fluid_of_string : string -> Fluid.Rk45.tolerances option
     [--fluid] grammar, ["off"] being the exact solve.  Raises
     {!Protocol_error} on anything else. *)
 
+val aggregate_of_string : string -> Markov.Lump.mode
+(** ["none"], ["symmetry"], ["lump"] or ["both"] — the CLI
+    [--aggregate] grammar; {!Markov.Lump.mode_to_string} prints it.
+    Raises {!Protocol_error} on anything else. *)
+
+val jobs_of_string : string -> int
+(** A job count: an integer [>= 0], [0] meaning auto-detect — the CLI
+    [--jobs] grammar.  Not resolved here: the daemon client ships [0]
+    for the daemon to resolve on its own machine.  Raises
+    {!Protocol_error} on anything else. *)
+
+val option_pairs : options -> (string * string) list
+(** [jobs], [method], [aggregate] and [fluid] in their normalised
+    printed forms: the option part of every ledger record, one-shot or
+    daemon.  Callers append their verb's own pairs ([kind], [absorb],
+    ...). *)
+
+val pipeline_options : rates:Uml.Rates_file.t -> options -> Choreographer.Pipeline.options
+(** The {!Choreographer.Pipeline.options} of a request, with its rates
+    book already loaded; [jobs] is passed through as [Some jobs]. *)
+
 val kind_to_string : model_kind -> string
 val backend_to_string : backend -> string
 

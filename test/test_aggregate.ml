@@ -124,7 +124,35 @@ let test_refine_respect () =
   Alcotest.(check int) "shared keys allow the merge" 2 shared.Markov.Lump.n_classes;
   Alcotest.check_raises "wrong length rejected"
     (Invalid_argument "Lump.refine: respect array of the wrong length") (fun () ->
-      ignore (Markov.Lump.refine ~respect:[| 0 |] ~n:3 ~src ~dst ~rate ~label ()))
+      ignore (Markov.Lump.refine ~respect:[| 0 |] ~n:3 ~src ~dst ~rate ~label ()));
+  (* Two derived chains: branches into states that differ only in
+     their next action type never merge, and identical branches do. *)
+  let classes source =
+    let space = Pepa.Statespace.of_string source in
+    let src = ref [] and dst = ref [] and rate = ref [] and label = ref [] in
+    let ids = Hashtbl.create 4 in
+    let id action =
+      match Hashtbl.find_opt ids action with
+      | Some i -> i
+      | None ->
+          let i = Hashtbl.length ids in
+          Hashtbl.add ids action i;
+          i
+    in
+    Pepa.Statespace.iter_transitions space (fun ~src:s ~action ~rate:r ~dst:d ->
+        src := s :: !src;
+        dst := d :: !dst;
+        rate := r :: !rate;
+        label := id action :: !label);
+    let column l = Array.of_list (List.rev !l) in
+    (Markov.Lump.refine ~n:(Pepa.Statespace.n_states space) ~src:(column src)
+       ~dst:(column dst) ~rate:(column rate) ~label:(column label) ())
+      .Markov.Lump.n_classes
+  in
+  Alcotest.(check int) "action types distinguish" 3
+    (classes "P = (a, 1).Q1 + (a, 1).Q2; Q1 = (b, 5).P; Q2 = (c, 5).P; system P;");
+  Alcotest.(check int) "symmetric branches merge" 2
+    (classes "P = (a, 1).Q1 + (a, 1).Q2; Q1 = (b, 5).P; Q2 = (b, 5).P; system P;")
 
 let test_symmetry_then_lump () =
   let full = Pepa.Statespace.of_string (e6 5) in

@@ -8,10 +8,11 @@ let asset name =
   | Some path -> path
   | None -> Alcotest.failf "asset %s not found" name
 
+let read name = In_channel.with_open_bin (asset name) In_channel.input_all
 let close = Alcotest.float 1e-9
 
 let test_mm1k () =
-  let analysis = Choreographer.Workbench.analyse_pepa_file (asset "mm1k.pepa") in
+  let analysis = Choreographer.Workbench.analyse_pepa_string ~name:"mm1k.pepa" (read "mm1k.pepa") in
   let results = analysis.Choreographer.Workbench.results in
   Alcotest.(check int) "states" 4 results.Choreographer.Results.n_states;
   (* M/M/1/3 closed form: arrival throughput = l (1 - p3). *)
@@ -25,7 +26,10 @@ let test_mm1k () =
     (Option.get (Choreographer.Results.throughput results "serve"))
 
 let test_instant_message_file () =
-  let analysis = Choreographer.Workbench.analyse_net_file (asset "instant_message.pepanet") in
+  let analysis =
+    Choreographer.Workbench.analyse_net_string ~name:"instant_message.pepanet"
+      (read "instant_message.pepanet")
+  in
   let results = analysis.Choreographer.Workbench.net_results in
   Alcotest.(check int) "markings" 8 results.Choreographer.Results.n_states;
   Alcotest.check close "same number as the embedded scenario" 0.385852

@@ -10,7 +10,6 @@ let () =
       ("rates", Test_rate.suite);
       ("pepa-parser", Test_pepa_parser.suite);
       ("pepa-semantics", Test_pepa_semantics.suite);
-      ("equivalence", Test_equivalence.suite);
       ("ctmc", Test_ctmc.suite);
       ("perf-path", Test_perf_path.suite);
       ("krylov", Test_krylov.suite);
@@ -41,6 +40,7 @@ let () =
       ("assets", Test_assets.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("surface", Test_surface.suite);
+      ("oneshot", Test_oneshot.suite);
       (* Last: Server.run flips the process-wide telemetry switch on. *)
       ("service", Test_service.suite);
     ]

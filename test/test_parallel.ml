@@ -175,12 +175,15 @@ let test_assets_render_identically () =
   Alcotest.(check bool) "found the example models" true (List.length models >= 5);
   List.iter
     (fun file ->
-      let path = Filename.concat dir file in
+      let source = In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all in
       let text ~aggregate ~jobs =
         rendered (fun () ->
             if Filename.check_suffix file ".pepanet" then
-              R.net_solve (W.analyse_net_file ~max_markings:50_000 ~aggregate ~jobs path)
-            else R.pepa_solve (W.analyse_pepa_file ~max_states:50_000 ~aggregate ~jobs path))
+              R.net_solve
+                (W.analyse_net_string ~name:file ~max_markings:50_000 ~aggregate ~jobs source)
+            else
+              R.pepa_solve
+                (W.analyse_pepa_string ~name:file ~max_states:50_000 ~aggregate ~jobs source))
       in
       List.iter
         (fun aggregate ->

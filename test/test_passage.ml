@@ -104,22 +104,9 @@ let test_cross_check_with_littles_law () =
   let space = study.Scenarios.Tomcat.analysis.Choreographer.Workbench.space in
   let chain = Pepa.Statespace.ctmc space in
   let sources =
-    List.filter_map
-      (fun tr ->
-        if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act "request") then
-          Some (tr.Pepa.Statespace.dst, 1.0)
-        else None)
-      (Pepa.Statespace.transitions space)
+    List.map (fun s -> (s, 1.0)) (snd (Pepa.Analysis.passage_endpoints space "request"))
   in
-  let targets =
-    List.filter_map
-      (fun tr ->
-        if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act "response") then
-          Some tr.Pepa.Statespace.dst
-        else None)
-      (Pepa.Statespace.transitions space)
-    |> List.sort_uniq compare
-  in
+  let targets = snd (Pepa.Analysis.passage_endpoints space "response") in
   Alcotest.check close "Little's law agrees with passage analysis"
     study.Scenarios.Tomcat.waiting_delay
     (P.mean chain ~sources ~targets)

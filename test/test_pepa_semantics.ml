@@ -4,6 +4,20 @@ let close = Alcotest.float 1e-9
 
 let space_of = Pepa.Statespace.of_string
 
+(* The outgoing transitions of state [s] as (action, rate) pairs, and
+   the actions of every transition, in exploration order. *)
+let outgoing space s =
+  let acc = ref [] in
+  Pepa.Statespace.iter_transitions_from space s (fun ~action ~rate ~dst:_ ->
+      acc := (action, rate) :: !acc);
+  List.rev !acc
+
+let all_actions space =
+  let acc = ref [] in
+  Pepa.Statespace.iter_transitions space (fun ~src:_ ~action ~rate:_ ~dst:_ ->
+      acc := action :: !acc);
+  List.rev !acc
+
 let test_local_lts () =
   (* The Section 2.2 File component has exactly three derivative states. *)
   let compiled =
@@ -75,10 +89,9 @@ let test_interleaving_rates () =
      initial state is the sum of both. *)
   let space = space_of "P = (a, 2.0).Stop; Q = (b, 3.0).Stop; system P <> Q;" in
   Alcotest.(check int) "4 states" 4 (Pepa.Statespace.n_states space);
-  let out = Pepa.Statespace.transitions_from space 0 in
+  let out = outgoing space 0 in
   Alcotest.(check int) "two initial moves" 2 (List.length out);
-  Alcotest.check close "total rate" 5.0
-    (List.fold_left (fun acc t -> acc +. t.Pepa.Statespace.rate) 0.0 out)
+  Alcotest.check close "total rate" 5.0 (List.fold_left (fun acc (_, r) -> acc +. r) 0.0 out)
 
 let test_cooperation_rate_formula () =
   (* Hillston's formula on the canonical example: two left instances of
@@ -95,9 +108,9 @@ let test_cooperation_rate_formula () =
         system P <a> Q;
       |}
   in
-  let out = Pepa.Statespace.transitions_from space 0 in
+  let out = outgoing space 0 in
   Alcotest.(check int) "two shared derivations" 2 (List.length out);
-  let rates = List.sort compare (List.map (fun t -> t.Pepa.Statespace.rate) out) in
+  let rates = List.sort compare (List.map snd out) in
   (match rates with
   | [ low; high ] ->
       Alcotest.check close "shares of min apparent" (2.0 /. 3.0) low;
@@ -116,9 +129,8 @@ let test_passive_cooperation () =
         system P <a> Q;
       |}
   in
-  let out = Pepa.Statespace.transitions_from space 0 in
-  (match out with
-  | [ t ] -> Alcotest.check close "passive inherits active rate" 3.0 t.Pepa.Statespace.rate
+  (match outgoing space 0 with
+  | [ (_, rate) ] -> Alcotest.check close "passive inherits active rate" 3.0 rate
   | _ -> Alcotest.fail "expected one transition");
   (* Weighted passive: weights 1 and 2 split the active rate 3. *)
   let space2 =
@@ -129,10 +141,7 @@ let test_passive_cooperation () =
         system P <a> Q;
       |}
   in
-  let rates =
-    List.sort compare
-      (List.map (fun t -> t.Pepa.Statespace.rate) (Pepa.Statespace.transitions_from space2 0))
-  in
+  let rates = List.sort compare (List.map snd (outgoing space2 0)) in
   match rates with
   | [ one; two ] ->
       Alcotest.check close "weight 1 share" 1.0 one;
@@ -146,9 +155,7 @@ let test_passive_at_top_rejected () =
 
 let test_hiding () =
   let space = space_of "P = (a, 2.0).(b, 3.0).P; system P / {a};" in
-  let actions =
-    List.map (fun t -> t.Pepa.Statespace.action) (Pepa.Statespace.transitions space)
-  in
+  let actions = all_actions space in
   Alcotest.(check bool) "a became tau" true (List.mem Pepa.Action.Tau actions);
   Alcotest.(check bool) "b survives" true (List.mem (Pepa.Action.act "b") actions);
   Alcotest.(check (list string)) "action_names excludes tau" [ "b" ]
@@ -156,11 +163,7 @@ let test_hiding () =
   (* Hiding an action inside a cooperation set elsewhere: hidden actions
      cannot synchronise. *)
   let blocked = space_of "P = (a, 2.0).P; Q = (a, infty).Q; system (P / {a}) <a> Q;" in
-  let tau_only =
-    List.for_all
-      (fun t -> Pepa.Action.is_tau t.Pepa.Statespace.action)
-      (Pepa.Statespace.transitions blocked)
-  in
+  let tau_only = List.for_all Pepa.Action.is_tau (all_actions blocked) in
   Alcotest.(check bool) "hidden action does not synchronise" true tau_only
 
 let test_cooperation_blocking_deadlock () =
@@ -219,12 +222,9 @@ let test_apparent_rate_consistency () =
           (fun action ->
             let from_transitions =
               List.fold_left
-                (fun acc tr ->
-                  if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act action) then
-                    acc +. tr.Pepa.Statespace.rate
-                  else acc)
-                0.0
-                (Pepa.Statespace.transitions_from space s)
+                (fun acc (a, rate) ->
+                  if Pepa.Action.equal a (Pepa.Action.act action) then acc +. rate else acc)
+                0.0 (outgoing space s)
             in
             let apparent =
               match Pepa.Semantics.apparent_rate compiled vec action with

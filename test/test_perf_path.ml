@@ -203,48 +203,36 @@ let test_methods_agree_on_scenarios () =
     (scenario_chains ())
 
 (* ------------------------------------------------------------------ *)
-(* Compatibility layer                                                 *)
+(* Transition iterators                                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_flat_columns_consistent () =
   let space = Pepa.Statespace.of_string (replicated_model 4) in
-  Alcotest.(check int)
-    "n_transitions is the column length"
-    (List.length (Pepa.Statespace.transitions space))
-    (Pepa.Statespace.n_transitions space);
-  (* iter_transitions visits exactly the records of the list API. *)
+  (* iter_transitions visits every transition once, grouped by source
+     in state order, and each group is exactly that state's row. *)
   let via_iter = ref [] in
   Pepa.Statespace.iter_transitions space (fun ~src ~action ~rate ~dst ->
-      via_iter := { Pepa.Statespace.src; action; rate; dst } :: !via_iter);
-  Alcotest.(check bool)
-    "iter matches list" true
-    (List.rev !via_iter = Pepa.Statespace.transitions space);
-  (* transitions_from agrees with filtering the full list. *)
-  let all = Pepa.Statespace.transitions space in
+      via_iter := (src, action, rate, dst) :: !via_iter);
+  Alcotest.(check int)
+    "n_transitions is the column length" (List.length !via_iter)
+    (Pepa.Statespace.n_transitions space);
+  let via_rows = ref [] in
   for s = 0 to Pepa.Statespace.n_states space - 1 do
-    let expected = List.filter (fun t -> t.Pepa.Statespace.src = s) all in
-    Alcotest.(check bool)
-      (Printf.sprintf "outgoing of %d" s)
-      true
-      (expected = Pepa.Statespace.transitions_from space s)
+    Pepa.Statespace.iter_transitions_from space s (fun ~action ~rate ~dst ->
+        via_rows := (s, action, rate, dst) :: !via_rows)
   done;
-  (* The net layer's flux table matches the record-based accounting. *)
+  Alcotest.(check bool) "rows match the stream" true (!via_rows = !via_iter);
+  (* The net layer's flux table matches per-transition accounting. *)
   let net = Pepanet.Net_statespace.of_string Scenarios.Instant_message.pepanet_source in
   let pi = Pepanet.Net_statespace.steady_state net in
   let flux = Pepanet.Net_statespace.label_flux net pi in
   let labels = Pepanet.Net_statespace.labels net in
   Array.iteri
     (fun id label ->
-      let expected =
-        List.fold_left
-          (fun acc tr ->
-            if tr.Pepanet.Net_statespace.label = label then
-              acc +. (pi.(tr.Pepanet.Net_statespace.src) *. tr.Pepanet.Net_statespace.rate)
-            else acc)
-          0.0
-          (Pepanet.Net_statespace.transitions net)
-      in
-      Alcotest.check close (Printf.sprintf "flux of label %d" id) expected flux.(id))
+      let expected = ref 0.0 in
+      Pepanet.Net_statespace.iter_transitions net (fun ~src ~label:l ~rate ~dst:_ ->
+          if l = label then expected := !expected +. (pi.(src) *. rate));
+      Alcotest.check close (Printf.sprintf "flux of label %d" id) !expected flux.(id))
     labels
 
 let suite =

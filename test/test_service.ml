@@ -213,8 +213,9 @@ let test_protocol_rejects_counts () =
         options.Service.Protocol.jobs
   | _ -> Alcotest.fail "solve decoded to another verb"
 
-(* One wording for --method and --fluid: the CLI converters and the
-   daemon decoder report the same text, the CLI's historical one. *)
+(* One wording for --method, --fluid and --aggregate: the CLI
+   converters and the daemon decoder report the same text, the CLI's
+   historical one. *)
 let test_option_wording_shared () =
   let cases =
     [
@@ -232,6 +233,13 @@ let test_option_wording_shared () =
         (fun () -> ignore (Service.Protocol.fluid_of_string "0")),
         "invalid fluid tolerances 0 (valid: RTOL or RTOL,ATOL with both positive, e.g. \
          1e-8 or 1e-8,1e-12)" );
+      ( "--aggregate banana",
+        Cmdliner.Arg.conv_parser Cli_support.aggregate_conv "banana" |> Result.map ignore,
+        (fun () ->
+          ignore
+            (Service.Protocol.request_of_json
+               (with_option "aggregate" (Obs.Json.Str "banana") (solve_json ())))),
+        "unknown aggregation mode banana (valid: none, symmetry, lump, both)" );
     ]
   in
   List.iter

@@ -106,14 +106,11 @@ let test_simulation_vs_solver_on_scenario () =
   let exact = Pepanet.Net_measures.throughput space pi "handover" in
   (* handover jumps: the transitions labelled with the firing *)
   let handover_jumps = Hashtbl.create 16 in
-  List.iter
-    (fun tr ->
-      match tr.Pepanet.Net_statespace.label with
+  Pepanet.Net_statespace.iter_transitions space (fun ~src ~label ~rate:_ ~dst ->
+      match label with
       | Pepanet.Net_semantics.Fire { action = "handover"; _ } ->
-          Hashtbl.replace handover_jumps
-            (tr.Pepanet.Net_statespace.src, tr.Pepanet.Net_statespace.dst) ()
-      | _ -> ())
-    (Pepanet.Net_statespace.transitions space);
+          Hashtbl.replace handover_jumps (src, dst) ()
+      | _ -> ());
   let est =
     Sim.throughput_estimate chain ~rng:(rng ()) ~initial:0 ~batches:20 ~batch_time:200.0
       ~warmup:20.0
