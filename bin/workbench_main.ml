@@ -14,6 +14,8 @@ let net_arg =
 
 let handle_errors = Cli_support.handle_errors
 
+module W = Choreographer.Workbench
+
 (* [solve] and [query] build the request [choreographer client] sends
    and answer it on an in-process engine, so both tools print the same
    bytes and exit with the same codes. *)
@@ -30,6 +32,35 @@ let solve_cmd =
       const run $ Cli_support.telemetry_term $ file_arg $ net_arg $ Cli_support.method_arg
       $ Cli_support.aggregate_arg $ Cli_support.fluid_arg)
 
+(* The other verbs derive the state space through the staged
+   [Workbench] functions, so model errors (parse, semantic, passive
+   rates, state caps) get the error contract [solve] has. *)
+type derived =
+  | Pepa_space of Pepa.Statespace.t * string list  (* with the model's warnings *)
+  | Net_space of Pepanet.Net_statespace.t * string list
+
+let derive ?(symmetry = false) path net =
+  let name = Filename.basename path in
+  let source = Cli_support.read_source path in
+  if is_net_file path net then
+    let compiled = W.compile_net ~name (W.parse_net ~name source) in
+    Net_space (W.net_space ~name ~symmetry compiled, Pepanet.Net_compile.warnings compiled)
+  else
+    let compiled, warnings = W.compile_pepa ~name (W.parse_pepa ~name source) in
+    Pepa_space (W.pepa_space ~name ~symmetry compiled, warnings)
+
+let n_states = function
+  | Pepa_space (space, _) -> Pepa.Statespace.n_states space
+  | Net_space (space, _) -> Pepanet.Net_statespace.n_markings space
+
+let state_label = function
+  | Pepa_space (space, _) -> Pepa.Statespace.state_label space
+  | Net_space (space, _) -> Pepanet.Net_statespace.marking_label space
+
+let ctmc = function
+  | Pepa_space (space, _) -> Pepa.Statespace.ctmc space
+  | Net_space (space, _) -> Pepanet.Net_statespace.ctmc space
+
 let statespace_cmd =
   let limit_arg =
     Arg.(value & opt int 200 & info [ "limit" ] ~docv:"N" ~doc:"Print at most N states.")
@@ -37,23 +68,19 @@ let statespace_cmd =
   let run _jobs path net limit aggregate =
     let symmetry = Markov.Lump.symmetry_enabled aggregate in
     handle_errors (fun () ->
-        if is_net_file path net then begin
-          let space = Pepanet.Net_statespace.of_file ~symmetry path in
-          Format.printf "%a@." Pepanet.Net_statespace.pp_summary space;
-          for i = 0 to min (limit - 1) (Pepanet.Net_statespace.n_markings space - 1) do
-            Printf.printf "M%-4d %s\n" i (Pepanet.Net_statespace.marking_label space i)
-          done
-        end
-        else begin
-          let space =
-            Pepa.Statespace.of_string ~symmetry
-              (In_channel.with_open_bin path In_channel.input_all)
-          in
-          Format.printf "%a@." Pepa.Statespace.pp_summary space;
-          for i = 0 to min (limit - 1) (Pepa.Statespace.n_states space - 1) do
-            Printf.printf "S%-4d %s\n" i (Pepa.Statespace.state_label space i)
-          done
-        end)
+        let space = derive ~symmetry path net in
+        let prefix =
+          match space with
+          | Pepa_space (space, _) ->
+              Format.printf "%a@." Pepa.Statespace.pp_summary space;
+              "S"
+          | Net_space (space, _) ->
+              Format.printf "%a@." Pepanet.Net_statespace.pp_summary space;
+              "M"
+        in
+        for i = 0 to min (limit - 1) (n_states space - 1) do
+          Printf.printf "%s%-4d %s\n" prefix i (state_label space i)
+        done)
   in
   Cmd.v
     (Cmd.info "statespace" ~doc:"Derive and print the reachable state space.")
@@ -64,27 +91,18 @@ let statespace_cmd =
 let check_cmd =
   let run _jobs path net =
     handle_errors (fun () ->
-        if is_net_file path net then begin
-          let compiled = Pepanet.Net_compile.of_file path in
-          let space = Pepanet.Net_statespace.build compiled in
-          Format.printf "%a@." Pepanet.Net_statespace.pp_summary space;
-          List.iter (Printf.printf "warning: %s\n") (Pepanet.Net_compile.warnings compiled);
-          List.iter
-            (fun i -> Printf.printf "deadlock: %s\n" (Pepanet.Net_statespace.marking_label space i))
-            (Pepanet.Net_statespace.deadlocks space)
-        end
-        else begin
-          let model =
-            Pepa.Parser.model_of_string (In_channel.with_open_bin path In_channel.input_all)
-          in
-          let env = Pepa.Env.of_model model in
-          let space = Pepa.Statespace.build (Pepa.Compile.compile env) in
-          Format.printf "%a@." Pepa.Analysis.pp_report space;
-          List.iter (Printf.printf "warning: %s\n") (Pepa.Env.warnings env);
-          List.iter
-            (fun i -> Printf.printf "deadlock: %s\n" (Pepa.Statespace.state_label space i))
-            (Pepa.Statespace.deadlocks space)
-        end)
+        let space = derive path net in
+        let warnings, deadlocks =
+          match space with
+          | Pepa_space (space, warnings) ->
+              Format.printf "%a@." Pepa.Analysis.pp_report space;
+              (warnings, Pepa.Statespace.deadlocks space)
+          | Net_space (space, warnings) ->
+              Format.printf "%a@." Pepanet.Net_statespace.pp_summary space;
+              (warnings, Pepanet.Net_statespace.deadlocks space)
+        in
+        List.iter (Printf.printf "warning: %s\n") warnings;
+        List.iter (fun i -> Printf.printf "deadlock: %s\n" (state_label space i)) deadlocks)
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Static checks, deadlock search and model warnings.")
@@ -96,26 +114,15 @@ let transient_cmd =
   in
   let run _jobs path net time =
     handle_errors (fun () ->
-        if is_net_file path net then begin
-          let space = Pepanet.Net_statespace.of_file path in
-          let pi = Pepanet.Net_statespace.transient space ~time in
-          Array.iteri
-            (fun i p ->
-              if p > 1e-9 then
-                Printf.printf "%-50s %.6f\n" (Pepanet.Net_statespace.marking_label space i) p)
-            pi
-        end
-        else begin
-          let space =
-            Pepa.Statespace.of_string (In_channel.with_open_bin path In_channel.input_all)
-          in
-          let pi = Pepa.Statespace.transient space ~time in
-          Array.iteri
-            (fun i p ->
-              if p > 1e-9 then
-                Printf.printf "%-50s %.6f\n" (Pepa.Statespace.state_label space i) p)
-            pi
-        end)
+        let space = derive path net in
+        let pi =
+          match space with
+          | Pepa_space (space, _) -> Pepa.Statespace.transient space ~time
+          | Net_space (space, _) -> Pepanet.Net_statespace.transient space ~time
+        in
+        Array.iteri
+          (fun i p -> if p > 1e-9 then Printf.printf "%-50s %.6f\n" (state_label space i) p)
+          pi)
   in
   Cmd.v
     (Cmd.info "transient" ~doc:"Transient state probabilities at a time horizon.")
@@ -131,27 +138,9 @@ let export_cmd =
   in
   let run _jobs path net basename =
     handle_errors (fun () ->
-        let chain, label_groups =
-          if is_net_file path net then begin
-            let space = Pepanet.Net_statespace.of_file path in
-            let labels =
-              List.init (Pepanet.Net_statespace.n_markings space) (fun i ->
-                  (Pepanet.Net_statespace.marking_label space i, [ i ]))
-            in
-            (Pepanet.Net_statespace.ctmc space, labels)
-          end
-          else begin
-            let space =
-              Pepa.Statespace.of_string (In_channel.with_open_bin path In_channel.input_all)
-            in
-            let labels =
-              List.init (Pepa.Statespace.n_states space) (fun i ->
-                  (Pepa.Statespace.state_label space i, [ i ]))
-            in
-            (Pepa.Statespace.ctmc space, labels)
-          end
-        in
-        let written = Markov.Prism.export ~labels:label_groups ~initial:0 ~basename chain in
+        let space = derive path net in
+        let labels = List.init (n_states space) (fun i -> (state_label space i, [ i ])) in
+        let written = Markov.Prism.export ~labels ~initial:0 ~basename (ctmc space) in
         List.iter (Printf.printf "wrote %s\n") written)
   in
   Cmd.v
@@ -186,18 +175,13 @@ let passage_cmd =
   in
   let run _jobs path net times action =
     handle_errors (fun () ->
-        let chain, (sources, targets) =
-          if is_net_file path net then
-            let space = Pepanet.Net_statespace.of_file path in
-            ( Pepanet.Net_statespace.ctmc space,
-              Pepanet.Net_measures.passage_endpoints space action )
-          else
-            let space =
-              Pepa.Statespace.of_string (In_channel.with_open_bin path In_channel.input_all)
-            in
-            (Pepa.Statespace.ctmc space, Pepa.Analysis.passage_endpoints space action)
+        let space = derive path net in
+        let sources, targets =
+          match space with
+          | Pepa_space (space, _) -> Pepa.Analysis.passage_endpoints space action
+          | Net_space (space, _) -> Pepanet.Net_measures.passage_endpoints space action
         in
-        report chain (List.map (fun s -> (s, 1.0)) sources) targets times action)
+        report (ctmc space) (List.map (fun s -> (s, 1.0)) sources) targets times action)
   in
   Cmd.v
     (Cmd.info "passage"
@@ -221,14 +205,13 @@ let graph_cmd =
   let run _jobs path net output kind =
     handle_errors (fun () ->
         let dot =
-          if is_net_file path net then begin
-            match kind with
-            | `Structure -> Choreographer.Graphviz.net_structure (Pepanet.Net_parser.net_of_file path)
-            | `Statespace -> Choreographer.Graphviz.net_statespace (Pepanet.Net_statespace.of_file path)
-          end
+          if kind = `Structure && is_net_file path net then
+            Choreographer.Graphviz.net_structure
+              (W.parse_net ~name:(Filename.basename path) (Cli_support.read_source path))
           else
-            Choreographer.Graphviz.pepa_statespace
-              (Pepa.Statespace.of_string (In_channel.with_open_bin path In_channel.input_all))
+            match derive path net with
+            | Pepa_space (space, _) -> Choreographer.Graphviz.pepa_statespace space
+            | Net_space (space, _) -> Choreographer.Graphviz.net_statespace space
         in
         match output with
         | Some file ->

@@ -10,46 +10,41 @@ let escape s =
     s;
   Buffer.contents buf
 
-let pepa_statespace space =
+(* One node per state, the initial state 0 double-circled, and one
+   edge per transition labelled action/rate. *)
+let derivation_graph ~graph ~prefix ~n ~state_label iter_edges =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "digraph derivation_graph {\n";
+  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" graph);
   Buffer.add_string buf "  rankdir=LR;\n  node [shape=ellipse, fontsize=10];\n";
-  for i = 0 to Pepa.Statespace.n_states space - 1 do
+  for i = 0 to n - 1 do
     Buffer.add_string buf
-      (Printf.sprintf "  s%d [label=\"%s\"%s];\n" i
-         (escape (Pepa.Statespace.state_label space i))
-         (if i = Pepa.Statespace.initial_index space then ", peripheries=2" else ""))
+      (Printf.sprintf "  %s%d [label=\"%s\"%s];\n" prefix i (escape (state_label i))
+         (if i = 0 then ", peripheries=2" else ""))
   done;
-  Pepa.Statespace.iter_transitions space (fun ~src ~action ~rate ~dst ->
+  iter_edges (fun ~src ~dst ~label ~rate ~style ->
       Buffer.add_string buf
-        (Printf.sprintf "  s%d -> s%d [label=\"%s/%.3g\"];\n" src dst
-           (escape (Pepa.Action.to_string action))
-           rate));
+        (Printf.sprintf "  %s%d -> %s%d [label=\"%s/%.3g\"%s];\n" prefix src prefix dst
+           (escape label) rate style));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
+let pepa_statespace space =
+  derivation_graph ~graph:"derivation_graph" ~prefix:"s" ~n:(Pepa.Statespace.n_states space)
+    ~state_label:(Pepa.Statespace.state_label space) (fun edge ->
+      Pepa.Statespace.iter_transitions space (fun ~src ~action ~rate ~dst ->
+          edge ~src ~dst ~label:(Pepa.Action.to_string action) ~rate ~style:""))
+
 let net_statespace space =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "digraph marking_graph {\n";
-  Buffer.add_string buf "  rankdir=LR;\n  node [shape=ellipse, fontsize=10];\n";
-  for i = 0 to Pepanet.Net_statespace.n_markings space - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf "  m%d [label=\"%s\"%s];\n" i
-         (escape (Pepanet.Net_statespace.marking_label space i))
-         (if i = Pepanet.Net_statespace.initial_index space then ", peripheries=2" else ""))
-  done;
-  Pepanet.Net_statespace.iter_transitions space (fun ~src ~label ~rate ~dst ->
-      let label, style =
-        match label with
-        | Pepanet.Net_semantics.Local action -> (Pepa.Action.to_string action, "")
-        | Pepanet.Net_semantics.Fire { action; transition } ->
-            (Printf.sprintf "%s!%s" action transition, ", style=bold")
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  m%d -> m%d [label=\"%s/%.3g\"%s];\n" src dst (escape label) rate
-           style));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  derivation_graph ~graph:"marking_graph" ~prefix:"m"
+    ~n:(Pepanet.Net_statespace.n_markings space)
+    ~state_label:(Pepanet.Net_statespace.marking_label space) (fun edge ->
+      Pepanet.Net_statespace.iter_transitions space (fun ~src ~label ~rate ~dst ->
+          match label with
+          | Pepanet.Net_semantics.Local action ->
+              edge ~src ~dst ~label:(Pepa.Action.to_string action) ~rate ~style:""
+          | Pepanet.Net_semantics.Fire { action; transition } ->
+              edge ~src ~dst ~label:(Printf.sprintf "%s!%s" action transition) ~rate
+                ~style:", style=bold"))
 
 let net_structure (net : Pepanet.Net.t) =
   let buf = Buffer.create 1024 in

@@ -23,8 +23,8 @@ let method_name = function
 
 type stats = { method_used : method_; iterations : int; residual : float }
 
-let last = ref None
-let last_stats () = !last
+let last = Domain.DLS.new_key (fun () -> None)
+let last_stats () = Domain.DLS.get last
 
 (* Telemetry handles (all no-ops while collection is disabled). *)
 let solver_iterations = Obs.Metrics.counter "solver_iterations"
@@ -301,7 +301,7 @@ let solve_bicgstab ?initial ?pool options c =
       (pi, { method_used = Power; iterations; residual })
 
 let record_stats stats =
-  last := Some stats;
+  Domain.DLS.set last (Some stats);
   stats
 
 let solve_stats ?method_ ?(options = default_options) ?initial ?jobs c =

@@ -117,8 +117,9 @@ val solve_stats :
 
 val last_stats : unit -> stats option
 (** Statistics of the most recent successful [solve]/[solve_stats] call
-    in this process, if any — the hook the CLIs use to echo solver
-    diagnostics to stderr after a run. *)
+    on this domain, if any — the hook the CLIs and the daemon workers
+    use to echo solver diagnostics after a run.  Domain-local, so a
+    solve on one domain never shows up in another domain's reading. *)
 
 val residual : Ctmc.t -> float array -> float
 (** [residual c pi] is [||pi Q||_inf], the defect of a candidate

@@ -6,21 +6,14 @@
     retains action labels so that action-type measures (throughput) can
     be computed after the steady-state solution.
 
-    Internally transitions are stored as a compressed grouped stream
-    with the action types interned into a table: the row-boundary array
-    is the src column's run-length encoding (so no src column exists),
-    and each transition packs destination and action id into a single
-    word next to its rate — two words per transition.  The CTMC is
-    assembled straight from the stream, and callers read it through
+    States and transitions live in a {!Lts.t}: a bit-packed state
+    arena and a compressed grouped transition stream with the action
+    types interned into its label table, shared with the PEPA-net
+    builder.  This module adds what is PEPA's own: the {!Semantics}
+    successors, replica symmetry and its lump respect key, and the
+    local-state marginal table.  Callers read transitions through
     {!iter_transitions} and {!iter_transitions_from}, which allocate
-    nothing per transition.
-
-    State vectors are bit-packed through {!Statekey} before they touch
-    any table: the intern structures hold compact byte keys hashed
-    exactly once, and the explored states live in one contiguous packed
-    arena (a few bytes per state instead of a boxed [int array]), so
-    exploration memory is dominated by the transition columns rather
-    than the state store.  Accessors decode on demand. *)
+    nothing per transition; accessors decode states on demand. *)
 
 type t
 
@@ -32,42 +25,23 @@ exception Passive_transition of { state : string; action : string }
     model: its rate is unspecified, so no CTMC exists.  The offending
     state and action are reported. *)
 
-val states_explored : Obs.Metrics.counter
-(** Shared exploration counters: this builder and
-    {!Pepanet.Net_statespace.build} add to the same process-global
-    metrics, so a pipeline run reports one total per name.
-    [intern_collisions] counts probes past an occupied slot in the
-    open-addressing intern table. *)
+(** {1 Exploration metrics}
 
+    The {!Lts} exploration metrics, which PEPA models and PEPA nets add
+    to alike. *)
+
+val states_explored : Obs.Metrics.counter
 val transitions_emitted : Obs.Metrics.counter
 val intern_collisions : Obs.Metrics.counter
-
 val canonical_hits : Obs.Metrics.counter
-(** States rewritten to a previously seen orbit representative during a
-    symmetry-reduced build (["statespace.canonical_hits"]). *)
-
 val frontier_states : Obs.Metrics.gauge
-(** Discovered-but-unexpanded states of the build in progress
-    (["statespace.frontier_states"]), refreshed per expansion so the
-    background sampler can chart frontier occupancy over time.  Shared
-    with {!Pepanet.Net_statespace.build}. *)
-
 val packed_key_bytes : Obs.Metrics.gauge
-(** Bytes per bit-packed state key of the most recent build
-    (["statespace.packed_key_bytes"]).  Shared with
-    {!Pepanet.Net_statespace.build}, which sets it for its marking
-    keys. *)
-
 val packed_arena_bytes : Obs.Metrics.gauge
-(** Total packed state-arena footprint of the most recent build in
-    bytes (["statespace.packed_arena_bytes"]).  Shared with
-    {!Pepanet.Net_statespace.build}. *)
 
 val build : ?max_states:int -> ?symmetry:bool -> Compile.t -> t
-(** Explore the full state space (default bound: 1_000_000 states).
-    Emits a ["statespace.build"] tracing span, adds to the exploration
-    counters, and reports progress every [Obs.Config.progress_interval]
-    states when telemetry is enabled.
+(** Explore the full state space (default bound: 1_000_000 states)
+    through {!Lts.explore}, under a ["statespace.build"] tracing span
+    with the state count as its ["states"] attribute.
 
     With [~symmetry:true] every vector is canonicalised through
     {!Symmetry.canonicalise} before interning, so permutation-equivalent
@@ -80,7 +54,6 @@ val build : ?max_states:int -> ?symmetry:bool -> Compile.t -> t
     Exploration is sequential breadth-first search: states are numbered
     in order of first occurrence. *)
 
-val of_model : ?max_states:int -> ?symmetry:bool -> Syntax.model -> t
 val of_string : ?max_states:int -> ?symmetry:bool -> string -> t
 
 val compiled : t -> Compile.t
@@ -92,8 +65,7 @@ val symmetry : t -> Symmetry.t
 val n_states : t -> int
 
 val n_transitions : t -> int
-(** O(1): the count is a consequence of the column layout, not a list
-    traversal. *)
+(** O(1). *)
 
 val state : t -> int -> int array
 val state_label : t -> int -> string
@@ -101,41 +73,28 @@ val initial_index : t -> int
 
 val iter_transitions :
   t -> (src:int -> action:Action.t -> rate:float -> dst:int -> unit) -> unit
-(** Every transition in exploration order (grouped by source), read
-    straight off the compressed stream — no list, no record
-    allocation. *)
+(** Every transition in exploration order ({!Lts.iter_transitions}). *)
 
 val iter_transitions_from :
   t -> int -> (action:Action.t -> rate:float -> dst:int -> unit) -> unit
-(** The outgoing transitions of one state, in exploration order. *)
 
 val deadlocks : t -> int list
-(** Indices of states with no outgoing transitions. *)
 
 val action_names : t -> string list
-(** Named action types occurring on reachable transitions, sorted.
-    Read from the interned action table: O(#action types). *)
+(** Named action types occurring on reachable transitions, sorted. *)
 
 val ctmc : t -> Markov.Ctmc.t
-(** The derived CTMC (transition rates between identical state pairs are
-    summed; computed once and cached).  Assembled from the compressed
-    stream via {!Markov.Ctmc.of_grouped} — no coordinate arrays are
-    materialised. *)
+(** The derived CTMC ({!Lts.ctmc}). *)
 
 val release_derived : t -> unit
-(** Drop every cached derived structure — the CTMC (and its transposed
-    generator), the lump partition and the marginal table.  They are
-    rebuilt on demand by the next accessor, so
-    this only trades time for space: callers holding several large
-    spaces at once (the benchmark harness between its sequential and
-    parallel pipelines) use it to keep one pipeline's CSR matrices from
-    inflating the other's peak. *)
+(** Drop the cached CTMC, lump partition and marginal table; rebuilt on
+    demand, so this only trades time for space for callers holding
+    several large spaces at once. *)
 
 val lump_partition : t -> Markov.Lump.t
-(** Coarsest ordinary lumping of the derived chain that respects the
-    per-action-type exit signature (computed once and cached).  Because
-    classes never mix action signatures, throughput measures on the
-    uniformly disaggregated lumped solution are exact. *)
+(** {!Lts.lump_partition} under the replica-orbit (or local-label)
+    respect key, so every measure of this module stays exact on the
+    uniformly disaggregated lumped solution. *)
 
 val steady_state :
   ?method_:Markov.Steady.method_ ->
@@ -144,24 +103,21 @@ val steady_state :
   ?jobs:int ->
   t ->
   float array
-(** Steady-state distribution over the explored states.  With
-    [~lump:true] the solver runs on the lumped quotient chain and the
-    result is disaggregated uniformly within each class — same length,
-    same throughputs, exact per-class probabilities.  Chains the
-    refinement cannot compress solve directly. *)
+(** Steady-state distribution over the explored states; with
+    [~lump:true], solved on the {!lump_partition} quotient
+    ({!Lts.steady_state}). *)
 
 val transient : t -> time:float -> float array
-(** Transient distribution starting from the initial state. *)
 
 val throughput : t -> float array -> string -> float
 (** [throughput space pi action] is the steady-state throughput of the
     named action type: the expected number of completions per time
-    unit.  One pass over the compressed stream. *)
+    unit, read from {!Lts.label_flux} (each action type has exactly one
+    interned id); 0 for an action type with no reachable transition. *)
 
 val throughputs : t -> float array -> (string * float) list
-(** Throughput of every reachable action type, sorted by name.  One
-    pass over the compressed stream for all action types together (the seed
-    implementation rescanned the transition list once per name). *)
+(** Throughput of every reachable action type, sorted by name, from
+    one {!Lts.label_flux} pass. *)
 
 val local_marginals : t -> float array -> leaf:int -> (string * float) list
 (** The leaf's distribution over the distinct local-state labels of its

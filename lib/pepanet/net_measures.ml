@@ -1,7 +1,7 @@
 (* All throughput-style measures select from [Net_statespace.label_flux]:
-   one pass over the flat transition columns computes the flux of every
-   interned label, and each query is then O(#labels) instead of a fresh
-   scan of the whole transition list. *)
+   one pass over the transition stream computes the flux of every
+   interned label, and each measure then sums the labels it matches, in
+   label-id order. *)
 
 let label_matches_action name = function
   | Net_semantics.Local action -> Pepa.Action.name action = Some name
@@ -18,46 +18,25 @@ let passage_endpoints space name =
   let indices flags = List.filter (fun i -> flags.(i)) (List.init n Fun.id) in
   (indices enabled, indices entered)
 
-let throughput space pi name =
-  let labels = Net_statespace.labels space in
-  let flux = Net_statespace.label_flux space pi in
+let flux_sum labels flux matches =
   let total = ref 0.0 in
-  Array.iteri (fun id l -> if label_matches_action name l then total := !total +. flux.(id)) labels;
+  Array.iteri (fun id l -> if matches l then total := !total +. flux.(id)) labels;
   !total
+
+let throughput space pi name =
+  flux_sum (Net_statespace.labels space) (Net_statespace.label_flux space pi)
+    (label_matches_action name)
 
 let throughputs space pi =
-  let labels = Net_statespace.labels space in
-  let flux = Net_statespace.label_flux space pi in
-  let totals = Hashtbl.create 16 in
-  Array.iteri
-    (fun id l ->
-      let name =
-        match l with
-        | Net_semantics.Local action -> Pepa.Action.name action
-        | Net_semantics.Fire { action; _ } -> Some action
-      in
-      match name with
-      | Some name ->
-          let previous = Option.value ~default:0.0 (Hashtbl.find_opt totals name) in
-          Hashtbl.replace totals name (previous +. flux.(id))
-      | None -> ())
-    labels;
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    (Hashtbl.fold (fun name total acc -> (name, total) :: acc) totals [])
+  let labels = Net_statespace.labels space and flux = Net_statespace.label_flux space pi in
+  List.map
+    (fun name -> (name, flux_sum labels flux (label_matches_action name)))
+    (Net_statespace.action_names space)
 
 let firing_throughput space pi transition_name =
-  let labels = Net_statespace.labels space in
-  let flux = Net_statespace.label_flux space pi in
-  let total = ref 0.0 in
-  Array.iteri
-    (fun id l ->
-      match l with
-      | Net_semantics.Fire { transition; _ } when transition = transition_name ->
-          total := !total +. flux.(id)
-      | Net_semantics.Fire _ | Net_semantics.Local _ -> ())
-    labels;
-  !total
+  flux_sum (Net_statespace.labels space) (Net_statespace.label_flux space pi) (function
+    | Net_semantics.Fire { transition; _ } -> transition = transition_name
+    | Net_semantics.Local _ -> false)
 
 let token_location_probabilities space pi ~token =
   let compiled = Net_statespace.compiled space in

@@ -1,26 +1,8 @@
-(* Same compressed stream layout as [Pepa.Statespace]: [row_start] is
-   the src column's run-length encoding (no src column is stored), and
-   each transition packs destination and interned label id into one
-   word next to its rate. *)
 type t = {
   compiled : Net_compile.t;
-  markings : Marking.t array;
-  tr_pack : int array;  (* dst in the low bits, interned label id above *)
-  tr_rate : float array;
-  labels : Net_semantics.label array;  (* interned label table *)
-  row_start : int array;  (* CSR over transitions grouped by src; length n_markings + 1 *)
-  mutable chain : Markov.Ctmc.t option;
-  mutable lump : Markov.Lump.t option;
+  lts : Net_semantics.label Pepa.Lts.t;
+  markings : Marking.t array;  (* decoded once: the measure layer reads markings constantly *)
 }
-
-(* Same packing split as [Pepa.Statespace]: destination in the low 48
-   bits, label id above, guarded at intern time. *)
-let pack_dst_bits = 48
-let pack_dst_mask = (1 lsl pack_dst_bits) - 1
-let max_interned_labels = 1 lsl (62 - pack_dst_bits)
-let pack ~dst ~label = (label lsl pack_dst_bits) lor dst
-let tr_dst t k = t.tr_pack.(k) land pack_dst_mask
-let tr_label_id t k = t.tr_pack.(k) lsr pack_dst_bits
 
 exception Too_many_markings of int
 exception Passive_firing of { marking : string; label : string }
@@ -72,43 +54,34 @@ let cell_groups compiled =
   Array.iter (fun p -> walk p.Net_compile.structure) compiled.Net_compile.places;
   Array.of_list (List.rev !groups)
 
-(* Sort each group's cell contents (with [Empty] ordering before any
-   token); returns the input marking unchanged when already canonical. *)
-let canonicalise groups marking =
-  let cells = ref None in
+(* Sort each group's cell codes in place; [true] when the vector
+   changed.  Cells of one group share a family, so the codes ([Empty]
+   as 0, then tokens by identity and state) order exactly as the cell
+   contents do. *)
+let canonicalise groups vec =
+  let changed = ref false in
   Array.iter
     (fun group ->
-      let current = match !cells with Some c -> c | None -> marking.Marking.cells in
-      let k = Array.length group in
       let sorted = ref true in
-      for i = 0 to k - 2 do
-        if compare current.(group.(i)) current.(group.(i + 1)) > 0 then sorted := false
+      for i = 0 to Array.length group - 2 do
+        if vec.(group.(i)) > vec.(group.(i + 1)) then sorted := false
       done;
       if not !sorted then begin
-        let c =
-          match !cells with
-          | Some c -> c
-          | None ->
-              let c = Array.copy marking.Marking.cells in
-              cells := Some c;
-              c
-        in
-        let values = Array.map (fun cell -> c.(cell)) group in
+        changed := true;
+        let values = Array.map (fun cell -> vec.(cell)) group in
         Array.sort compare values;
-        Array.iteri (fun i cell -> c.(cell) <- values.(i)) group
+        Array.iteri (fun i cell -> vec.(cell) <- values.(i)) group
       end)
     groups;
-  match !cells with
-  | None -> (marking, false)
-  | Some c -> ({ marking with Marking.cells = c }, true)
+  !changed
 
 (* Bit-packed marking keys: a marking flattens to a vector of bounded
    integers — each cell is [Empty] (0) or [1 + token * family_states +
    state], each static its local state — which {!Pepa.Statekey} packs
-   into a few bytes.  The intern table holds these compact keys
-   instead of boxed marking records; the decoded [markings] array
-   survives for the measure layer, which reads individual markings
-   constantly. *)
+   into a few bytes.  Exploration runs on these vectors
+   ({!Pepa.Lts.explore}); [decode] turns one back into a marking for
+   the semantics and for the [markings] array the measure layer
+   reads. *)
 type marking_codec = {
   codec : Pepa.Statekey.t;
   cell_states : int array;  (* family local-state count per cell *)
@@ -151,105 +124,30 @@ let encode_into mc vec (marking : Marking.t) =
     marking.Marking.cells;
   Array.iteri (fun s v -> vec.(mc.mc_cells + s) <- v) marking.Marking.statics
 
+let decode mc vec =
+  {
+    Marking.cells =
+      Array.init mc.mc_cells (fun cell ->
+          match vec.(cell) with
+          | 0 -> Marking.Empty
+          | code ->
+              let states = mc.cell_states.(cell) in
+              Marking.Tok { token = (code - 1) / states; state = (code - 1) mod states });
+    statics = Array.sub vec mc.mc_cells mc.mc_statics;
+  }
+
 let build ?(max_markings = 1_000_000) ?(symmetry = false) compiled =
-  Obs.Span.with_ "net_statespace.build" (fun span ->
-  let obs_on = Obs.Config.enabled () in
-  let progress_every = Obs.Config.progress_interval () in
   let groups = if symmetry then cell_groups compiled else [||] in
-  let hits = ref 0 in
-  let canonical marking =
-    if Array.length groups = 0 then marking
-    else begin
-      let marking, changed = canonicalise groups marking in
-      if changed then incr hits;
-      marking
-    end
+  let reduction =
+    if Array.length groups = 0 then None
+    else Some { Pepa.Lts.groups = Array.length groups; canonicalise = canonicalise groups }
   in
   let mc = marking_codec compiled in
-  let key_size = Pepa.Statekey.size mc.codec in
-  let scratch_vec = Array.make (mc.mc_cells + mc.mc_statics) 0 in
-  let scratch_key = Bytes.create key_size in
-  let index : (Bytes.t, int) Hashtbl.t = Hashtbl.create 1024 in
-  let markings = ref (Array.make 1024 (Marking.initial compiled)) in
-  let n_markings = ref 0 in
-  let intern marking =
-    encode_into mc scratch_vec marking;
-    Pepa.Statekey.pack_into mc.codec scratch_vec scratch_key 0;
-    match Hashtbl.find_opt index scratch_key with
-    | Some i -> i
-    | None ->
-        if !n_markings >= max_markings then raise (Too_many_markings max_markings);
-        let i = !n_markings in
-        if i >= Array.length !markings then begin
-          let bigger = Array.make (2 * Array.length !markings) marking in
-          Array.blit !markings 0 bigger 0 i;
-          markings := bigger
-        end;
-        !markings.(i) <- marking;
-        Hashtbl.add index (Bytes.copy scratch_key) i;
-        incr n_markings;
-        i
-  in
-  (* Compressed transition buffers, as in [Pepa.Statespace]: sources
-     arrive in nondecreasing order, so the src column reduces to
-     per-source counts recorded at emission. *)
-  let tr_cap = ref 4096 in
-  let tr_pack = ref (Array.make !tr_cap 0) in
-  let tr_rate = ref (Array.make !tr_cap 0.0) in
-  let n_transitions = ref 0 in
-  let rc_cap = ref 4096 in
-  let row_count = ref (Array.make !rc_cap 0) in
-  let push src dst rate label =
-    if !n_transitions = !tr_cap then begin
-      let grow_int a = let b = Array.make (2 * !tr_cap) 0 in Array.blit a 0 b 0 !tr_cap; b in
-      let grow_float a = let b = Array.make (2 * !tr_cap) 0.0 in Array.blit a 0 b 0 !tr_cap; b in
-      tr_pack := grow_int !tr_pack;
-      tr_rate := grow_float !tr_rate;
-      tr_cap := 2 * !tr_cap
-    end;
-    if src >= !rc_cap then begin
-      let cap = ref (2 * !rc_cap) in
-      while src >= !cap do
-        cap := 2 * !cap
-      done;
-      let b = Array.make !cap 0 in
-      Array.blit !row_count 0 b 0 !rc_cap;
-      row_count := b;
-      rc_cap := !cap
-    end;
-    !row_count.(src) <- !row_count.(src) + 1;
-    let k = !n_transitions in
-    !tr_pack.(k) <- pack ~dst ~label;
-    !tr_rate.(k) <- rate;
-    incr n_transitions
-  in
-  let label_ids = Hashtbl.create 16 in
-  let label_list = ref [] in
-  let n_labels = ref 0 in
-  let intern_label l =
-    match Hashtbl.find_opt label_ids l with
-    | Some id -> id
-    | None ->
-        if !n_labels >= max_interned_labels then
-          invalid_arg "Net_statespace.build: label alphabet exceeds the packed budget";
-        let id = !n_labels in
-        Hashtbl.add label_ids l id;
-        label_list := l :: !label_list;
-        incr n_labels;
-        id
-  in
-  ignore (intern (canonical (Marking.initial compiled)));
-  let next = ref 0 in
-  while !next < !n_markings do
-    let src = !next in
-    if obs_on then begin
-      Obs.Metrics.set Pepa.Statespace.frontier_states (float_of_int (!n_markings - src));
-      if src > 0 && src mod progress_every = 0 then
-        Obs.Log.progress ~stage:"net_statespace.build" ~count:src
-          ~detail:
-            (Printf.sprintf "%d discovered, %d transitions" !n_markings !n_transitions)
-    end;
-    let marking = !markings.(src) in
+  let initial = Array.make (mc.mc_cells + mc.mc_statics) 0 in
+  encode_into mc initial (Marking.initial compiled);
+  let scratch = Array.make (mc.mc_cells + mc.mc_statics) 0 in
+  let successors vec emit =
+    let marking = decode mc vec in
     List.iter
       (fun move ->
         let rate =
@@ -263,44 +161,21 @@ let build ?(max_markings = 1_000_000) ?(symmetry = false) compiled =
                      label = label_string move.Net_semantics.label;
                    })
         in
-        let dst = intern (canonical (Net_semantics.apply marking move.Net_semantics.updates)) in
-        push src dst rate (intern_label move.Net_semantics.label))
-      (Net_semantics.moves compiled marking);
-    incr next
-  done;
-  let explored_markings = Array.sub !markings 0 !n_markings in
-  let n = Array.length explored_markings in
-  let count = !n_transitions in
-  let tr_pack = Array.sub !tr_pack 0 count in
-  let tr_rate = Array.sub !tr_rate 0 count in
-  let row_start = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    row_start.(i + 1) <- row_start.(i) + (if i < !rc_cap then !row_count.(i) else 0)
-  done;
-  if obs_on then begin
-    Obs.Metrics.add Pepa.Statespace.states_explored n;
-    Obs.Metrics.add Pepa.Statespace.transitions_emitted count;
-    Obs.Metrics.set Pepa.Statespace.packed_key_bytes (float_of_int key_size);
-    Obs.Metrics.set Pepa.Statespace.packed_arena_bytes (float_of_int (n * key_size));
-    Obs.Span.add_int span "markings" n;
-    Obs.Span.add_int span "transitions" count;
-    Obs.Span.add_int span "packed_key_bytes" key_size;
-    if Array.length groups > 0 then begin
-      Obs.Metrics.add Pepa.Statespace.canonical_hits !hits;
-      Obs.Span.add_int span "symmetry_groups" (Array.length groups);
-      Obs.Span.add_int span "canonical_hits" !hits
-    end
-  end;
+        encode_into mc scratch (Net_semantics.apply marking move.Net_semantics.updates);
+        emit move.Net_semantics.label rate scratch)
+      (Net_semantics.moves compiled marking)
+  in
+  let lts =
+    Pepa.Lts.explore ~stage:"net_statespace.build" ~count_attr:"markings"
+      ~max_states:max_markings
+      ~overflow:(fun n -> Too_many_markings n)
+      ?symmetry:reduction mc.codec initial successors
+  in
   {
     compiled;
-    markings = explored_markings;
-    tr_pack;
-    tr_rate;
-    labels = Array.of_list (List.rev !label_list);
-    row_start;
-    chain = None;
-    lump = None;
-  })
+    lts;
+    markings = Array.init (Pepa.Lts.n_states lts) (fun i -> decode mc (Pepa.Lts.state lts i));
+  }
 
 let of_string ?max_markings ?symmetry src =
   build ?max_markings ?symmetry (Net_compile.of_string src)
@@ -310,51 +185,16 @@ let of_file ?max_markings ?symmetry path =
 
 let compiled t = t.compiled
 let n_markings t = Array.length t.markings
-let n_transitions t = Array.length t.tr_pack
+let n_transitions t = Pepa.Lts.n_transitions t.lts
 let marking t i = t.markings.(i)
 let marking_label t i = Marking.label t.compiled t.markings.(i)
 let initial_index _ = 0
-
-let iter_transitions t f =
-  for s = 0 to n_markings t - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      f ~src:s ~label:t.labels.(tr_label_id t k) ~rate:t.tr_rate.(k) ~dst:(tr_dst t k)
-    done
-  done
-
-let deadlocks t =
-  let result = ref [] in
-  for i = n_markings t - 1 downto 0 do
-    if t.row_start.(i) = t.row_start.(i + 1) then result := i :: !result
-  done;
-  !result
-
-let labels t = t.labels
-
-let label_flux t pi =
-  let flux = Array.make (Array.length t.labels) 0.0 in
-  for s = 0 to n_markings t - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      let id = tr_label_id t k in
-      flux.(id) <- flux.(id) +. (pi.(s) *. t.tr_rate.(k))
-    done
-  done;
-  flux
-
-let ctmc t =
-  match t.chain with
-  | Some c -> c
-  | None ->
-      let c =
-        Markov.Ctmc.of_grouped ~n:(n_markings t) ~row_start:t.row_start ~dst:(tr_dst t)
-          ~rate:(fun k -> t.tr_rate.(k))
-      in
-      t.chain <- Some c;
-      c
-
-let release_derived t =
-  t.chain <- None;
-  t.lump <- None
+let iter_transitions t f = Pepa.Lts.iter_transitions t.lts f
+let deadlocks t = Pepa.Lts.deadlocks t.lts
+let labels t = Pepa.Lts.labels t.lts
+let label_flux t pi = Pepa.Lts.label_flux t.lts pi
+let ctmc t = Pepa.Lts.ctmc t.lts
+let release_derived t = Pepa.Lts.release_derived t.lts
 
 (* Net measures go all the way down to individual markings
    ([marking_probabilities], [Marking.label] in queries), so the only
@@ -365,70 +205,18 @@ let release_derived t =
    canonical form — on a space already built with [~symmetry:true] (or
    one with no interchangeable cells) the keys are distinct per marking
    and the lump pass degenerates to the identity partition. *)
-let lump_respect t =
-  let n = n_markings t in
+let lump_respect t () =
   let groups = cell_groups t.compiled in
-  let keys : (Marking.t, int) Hashtbl.t = Hashtbl.create (2 * n) in
-  let next = ref 0 in
-  Array.map
-    (fun marking ->
-      let canonical, _ = canonicalise groups marking in
-      match Hashtbl.find_opt keys canonical with
-      | Some id -> id
-      | None ->
-          let id = !next in
-          Hashtbl.add keys canonical id;
-          incr next;
-          id)
-    t.markings
+  Pepa.Lts.respect_by t.lts (fun vec ->
+      ignore (canonicalise groups vec);
+      vec)
 
-(* The partition refinement still speaks flat coordinate columns;
-   expanding the compressed stream here is transient and confined to
-   aggregation requests. *)
-let transition_columns t =
-  let m = n_transitions t in
-  let src = Array.make m 0 in
-  let dst = Array.make m 0 in
-  let label = Array.make m 0 in
-  for s = 0 to n_markings t - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      src.(k) <- s;
-      dst.(k) <- tr_dst t k;
-      label.(k) <- tr_label_id t k
-    done
-  done;
-  (src, dst, label)
+let lump_partition t = Pepa.Lts.lump_partition t.lts ~respect:(lump_respect t)
 
-let lump_partition t =
-  match t.lump with
-  | Some part -> part
-  | None ->
-      let src, dst, label = transition_columns t in
-      let part =
-        Markov.Lump.refine ~respect:(lump_respect t) ~n:(n_markings t) ~src ~dst
-          ~rate:t.tr_rate ~label ()
-      in
-      t.lump <- Some part;
-      part
+let steady_state ?method_ ?options ?lump ?jobs t =
+  Pepa.Lts.steady_state ?method_ ?options ?lump ?jobs ~respect:(lump_respect t) t.lts
 
-let steady_state ?method_ ?options ?(lump = false) ?jobs t =
-  if not lump then Markov.Steady.solve ?method_ ?options ?jobs (ctmc t)
-  else begin
-    let part = lump_partition t in
-    if part.Markov.Lump.n_classes >= n_markings t then
-      Markov.Steady.solve ?method_ ?options ?jobs (ctmc t)
-    else begin
-      let src, dst, _ = transition_columns t in
-      let quotient = Markov.Lump.quotient_ctmc part ~src ~dst ~rate:t.tr_rate in
-      Markov.Lump.disaggregate part (Markov.Steady.solve ?method_ ?options ?jobs quotient)
-    end
-  end
-
-let transient t ~time =
-  let n = n_markings t in
-  let initial = Array.make n 0.0 in
-  initial.(0) <- 1.0;
-  Markov.Transient.probabilities (ctmc t) ~initial ~t:time
+let transient t ~time = Pepa.Lts.transient t.lts ~time
 
 let action_names t =
   List.sort_uniq String.compare
@@ -437,7 +225,7 @@ let action_names t =
          match label with
          | Net_semantics.Local action -> Pepa.Action.name action
          | Net_semantics.Fire { action; _ } -> Some action)
-       (Array.to_list t.labels))
+       (Array.to_list (labels t)))
 
 let pp_summary fmt t =
   Format.fprintf fmt "%d markings, %d transitions, %d deadlock marking(s)" (n_markings t)

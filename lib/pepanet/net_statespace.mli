@@ -1,11 +1,15 @@
 (** Reachability graph of a PEPA net and its derived CTMC, treating each
     marking as a distinct state (as in the paper's Section 2.2).
 
-    Transitions are stored as a compressed grouped stream (the
-    row-boundary array encodes the src column; destination and interned
-    label id share one word next to the rate — two words per
-    transition), read through {!iter_transitions}; {!Net_measures}
-    works straight off the stream through {!label_flux}. *)
+    Markings flatten to vectors of bounded integers (each cell empty or
+    a token in a local state, each static component its local state),
+    and the markings and transitions live in a {!Pepa.Lts.t}, the
+    explorer and transition store the PEPA builder uses too.  This
+    module adds what is the net's own: the marking codec, the
+    {!Net_semantics} successors, cell-group symmetry and its lump
+    respect key, and the decoded markings.  Transitions are read
+    through {!iter_transitions}; {!Net_measures} works straight off the
+    stream through {!label_flux}. *)
 
 type t
 
@@ -16,7 +20,11 @@ exception Passive_firing of { marking : string; label : string }
     participant to set its rate: the model is incomplete. *)
 
 val build : ?max_markings:int -> ?symmetry:bool -> Net_compile.t -> t
-(** With [~symmetry:true], interchangeable cells — cell leaves of the
+(** Explore the reachable markings (default bound: 1_000_000) through
+    {!Pepa.Lts.explore}, under a ["net_statespace.build"] tracing span
+    with the marking count as its ["markings"] attribute.
+
+    With [~symmetry:true], interchangeable cells — cell leaves of the
     same token family composed in one same-set cooperation chain of a
     place's context — have their contents sorted before each marking is
     interned, so markings differing only by a permutation of
@@ -59,7 +67,8 @@ val label_flux : t -> float array -> float array
 val ctmc : t -> Markov.Ctmc.t
 
 val release_derived : t -> unit
-(** Drop the cached CTMC and lump partition; rebuilt on demand — see {!Pepa.Statespace.release_derived}. *)
+(** Drop the cached CTMC and lump partition; rebuilt on demand — see
+    {!Pepa.Statespace.release_derived}. *)
 
 val lump_partition : t -> Markov.Lump.t
 (** Coarsest ordinary lumping of the marking chain respecting the

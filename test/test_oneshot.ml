@@ -30,8 +30,8 @@ let run exe args =
   | Unix.WEXITED code -> { stdout; stderr; code }
   | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> Alcotest.failf "%s was killed" exe
 
-let model_file source =
-  let path = Filename.temp_file "oneshot" ".pepa" in
+let model_file ?(suffix = ".pepa") source =
+  let path = Filename.temp_file "oneshot" suffix in
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc source);
   path
 
@@ -97,6 +97,46 @@ let test_query () =
     unknown.stderr;
   Alcotest.(check int) "unknown action exits 1" 1 unknown.code
 
+(* Every verb that derives a state space answers a model error as
+   [solve] does: the same stderr bytes and exit 1, never an uncaught
+   exception. *)
+let test_verbs_share_the_error_contract () =
+  let basename = Filename.concat (Filename.get_temp_dir_name ()) "oneshot_export" in
+  let verbs =
+    [
+      ("statespace", []);
+      ("check", []);
+      ("graph", []);
+      ("transient", [ "--time"; "1" ]);
+      ("export", [ "-o"; basename ]);
+      ("passage", [ "-a"; "a" ]);
+    ]
+  in
+  let models =
+    [
+      ("PEPA parse error", ".pepa", "P = (a, 1).;\nsystem P;\n");
+      ("passive rate", ".pepa", "P = (a, infty).P;\nsystem P;\n");
+      ("PEPA-net parse error", ".pepanet", "this is not a net\n");
+    ]
+  in
+  List.iter
+    (fun (model, suffix, source) ->
+      let path = model_file ~suffix source in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let solve = run (workbench ()) [ "solve"; path ] in
+          Alcotest.(check int) (model ^ ": solve exits 1") 1 solve.code;
+          List.iter
+            (fun (verb, args) ->
+              let label = Printf.sprintf "%s, %s" model verb in
+              let got = run (workbench ()) (verb :: path :: args) in
+              Alcotest.(check string) (label ^ ": stdout") "" got.stdout;
+              Alcotest.(check string) (label ^ ": stderr") solve.stderr got.stderr;
+              Alcotest.(check int) (label ^ ": exit code") 1 got.code)
+            verbs))
+    models
+
 (* The one-shot and the daemon client's --jobs parse with one grammar:
    both reject a bad count before doing anything, exit 2, and word it
    as [Protocol.jobs_of_string] does. *)
@@ -142,5 +182,7 @@ let suite =
     Alcotest.test_case "fluid on passive rates exits 1" `Quick test_fluid_passive;
     Alcotest.test_case "non-converging solve exits 2" `Quick test_did_not_converge;
     Alcotest.test_case "query" `Quick test_query;
+    Alcotest.test_case "every verb shares the error contract" `Quick
+      test_verbs_share_the_error_contract;
     Alcotest.test_case "--jobs wording shared with the client" `Quick test_jobs_wording_shared;
   ]

@@ -215,6 +215,45 @@ let test_large_model_parallel_paths () =
       Alcotest.(check bool) (name ^ " independent of jobs") true (pi_seq = pi_par))
     [ ("gauss-seidel", Markov.Steady.Gauss_seidel); ("bicgstab", Markov.Steady.Bicgstab) ]
 
+(* [Steady.last_stats] is what a daemon worker reports after its own
+   solve, so a solve on another domain in between must not show
+   through.  Domain A solves first and reads last; B solves in
+   between with a different method. *)
+let test_last_stats_per_domain () =
+  let chain () =
+    Pepa.Statespace.ctmc
+      (Pepa.Statespace.of_string (Scenarios.Tandem.source ~stations:2 ~capacity:5))
+  in
+  let chain_a = chain () and chain_b = chain () in
+  let a_solved = Atomic.make false and b_solved = Atomic.make false in
+  let wait flag =
+    while not (Atomic.get flag) do
+      Domain.cpu_relax ()
+    done
+  in
+  let method_of stats =
+    Option.map (fun s -> Markov.Steady.method_name s.Markov.Steady.method_used) stats
+  in
+  let a =
+    Domain.spawn (fun () ->
+        ignore (Markov.Steady.solve ~method_:Markov.Steady.Gauss_seidel chain_a);
+        Atomic.set a_solved true;
+        wait b_solved;
+        method_of (Markov.Steady.last_stats ()))
+  in
+  let b =
+    Domain.spawn (fun () ->
+        wait a_solved;
+        ignore (Markov.Steady.solve ~method_:Markov.Steady.Bicgstab chain_b);
+        Atomic.set b_solved true;
+        method_of (Markov.Steady.last_stats ()))
+  in
+  let seen_a = Domain.join a and seen_b = Domain.join b in
+  Alcotest.(check (option string)) "domain A sees its own solve" (Some "gauss-seidel") seen_a;
+  Alcotest.(check (option string)) "domain B sees its own solve" (Some "bicgstab") seen_b;
+  Alcotest.(check (option string)) "a fresh domain has solved nothing" None
+    (Domain.join (Domain.spawn (fun () -> method_of (Markov.Steady.last_stats ()))))
+
 (* ------------------------------------------------------------------ *)
 (* Random small PEPA terms                                             *)
 (* ------------------------------------------------------------------ *)
@@ -282,6 +321,7 @@ let suite =
     Alcotest.test_case "large-model parallel paths" `Slow test_large_model_parallel_paths;
     Alcotest.test_case "example models render identically at jobs 1 and 2" `Quick
       test_assets_render_identically;
+    Alcotest.test_case "solver diagnostics are per domain" `Quick test_last_stats_per_domain;
     QCheck_alcotest.to_alcotest prop_random_terms_deterministic;
     Alcotest.test_case "--jobs validation" `Quick test_jobs_cli_validation;
   ]
