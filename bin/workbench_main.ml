@@ -32,22 +32,22 @@ let solve_cmd =
       const run $ Cli_support.telemetry_term $ file_arg $ net_arg $ Cli_support.method_arg
       $ Cli_support.aggregate_arg $ Cli_support.fluid_arg)
 
-(* The other verbs derive the state space through the staged
-   [Workbench] functions, so model errors (parse, semantic, passive
-   rates, state caps) get the error contract [solve] has. *)
+(* The other verbs derive the state space through the derive stage of
+   the [Workbench] compositions, so model errors (parse, semantic,
+   passive rates, state caps) get the error contract [solve] has. *)
 type derived =
   | Pepa_space of Pepa.Statespace.t * string list  (* with the model's warnings *)
   | Net_space of Pepanet.Net_statespace.t * string list
 
 let derive ?(symmetry = false) path net =
   let name = Filename.basename path in
-  let source = Cli_support.read_source path in
+  let source = W.Source (Cli_support.read_source path) in
   if is_net_file path net then
-    let compiled = W.compile_net ~name (W.parse_net ~name source) in
-    Net_space (W.net_space ~name ~symmetry compiled, Pepanet.Net_compile.warnings compiled)
+    let space, warnings = W.net_derived ~name ~symmetry source in
+    Net_space (space, warnings)
   else
-    let compiled, warnings = W.compile_pepa ~name (W.parse_pepa ~name source) in
-    Pepa_space (W.pepa_space ~name ~symmetry compiled, warnings)
+    let space, warnings = W.pepa_derived ~name ~symmetry source in
+    Pepa_space (space, warnings)
 
 let n_states = function
   | Pepa_space (space, _) -> Pepa.Statespace.n_states space

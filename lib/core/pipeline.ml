@@ -43,12 +43,22 @@ let model_name_of doc =
   | Some model -> Option.value ~default:"model" (X.attribute "name" model)
   | None -> "model"
 
-(* In fluid mode an extracted system may have no fluid interpretation
-   (passive cooperation, mixed firing priorities); fall back to the
-   exact solve with a warning naming the option that asked for the
-   approximation rather than failing the document. *)
-let exact_fallback_warning reason =
-  Printf.sprintf "--fluid: %s; solved exactly instead" reason
+(* Solve one extracted model: exactly, or in fluid mode by the fluid
+   approximation.  An extracted system may have no fluid interpretation
+   (passive cooperation, mixed firing priorities); it then falls back
+   to the exact solve with a warning naming the option that asked for
+   the approximation, rather than failing the document. *)
+let exact_or_fluid options ~exact ~fluid =
+  let exact ?(extra_warnings = []) () =
+    let r = try exact () with Workbench.Analysis_error msg -> fail "%s" msg in
+    { r with Results.warnings = r.Results.warnings @ extra_warnings }
+  in
+  match options.fluid with
+  | None -> exact ()
+  | Some tolerances -> (
+      try fluid tolerances
+      with Workbench.Analysis_error msg ->
+        exact ~extra_warnings:[ Printf.sprintf "--fluid: %s; solved exactly instead" msg ] ())
 
 let analyse_activity options interactions diagram =
   let extraction =
@@ -59,32 +69,20 @@ let analyse_activity options interactions diagram =
       fail "extraction of %s failed: %s" diagram.Uml.Activity.diagram_name msg
   in
   let name = diagram.Uml.Activity.diagram_name in
-  let exact ?(extra_warnings = []) () =
-    let analysis =
-      try
-        Workbench.analyse_net ~name ?method_:options.method_
-          ?max_markings:options.max_states ~aggregate:options.aggregate ?jobs:options.jobs
-          extraction.Extract.Ad_to_pepanet.net
-      with Workbench.Analysis_error msg -> fail "%s" msg
-    in
-    let r = analysis.Workbench.net_results in
-    { r with Results.warnings = r.Results.warnings @ extra_warnings }
-  in
+  let net = extraction.Extract.Ad_to_pepanet.net in
   let results =
-    match options.fluid with
-    | None -> exact ()
-    | Some tolerances -> (
-        match
-          Workbench.analyse_net_fluid ~name ~tolerances extraction.Extract.Ad_to_pepanet.net
-        with
-        | analysis -> analysis.Workbench.net_fluid_results
-        | exception Workbench.Analysis_error msg ->
-            exact ~extra_warnings:[ exact_fallback_warning msg ] ())
+    exact_or_fluid options
+      ~exact:(fun () ->
+        (Workbench.analyse_net ~name ?method_:options.method_
+           ?max_markings:options.max_states ~aggregate:options.aggregate ?jobs:options.jobs net)
+          .Workbench.net_results)
+      ~fluid:(fun tolerances ->
+        (Workbench.analyse_net_fluid ~name ~tolerances net).Workbench.net_fluid_results)
   in
-  let throughputs = results.Results.throughputs in
   let reflected_diagram =
     Extract.Reflector.reflect_activity extraction
-      ?approximation:results.Results.approximation ~throughputs diagram
+      ?approximation:results.Results.approximation ~throughputs:results.Results.throughputs
+      diagram
   in
   (reflected_diagram, extraction, results)
 
@@ -97,55 +95,36 @@ let analyse_statecharts options charts =
   let name =
     String.concat "+" (List.map (fun c -> c.Uml.Statechart.chart_name) charts)
   in
-  (* Steady-state probability of each state constant, computed per chart
-     from its leaf's local distribution.  Shared actions extract as
-     passive cooperation, so in fluid mode the extracted model may have
-     no fluid interpretation; see [exact_fallback_warning]. *)
-  let exact ?(extra_warnings = []) () =
-    let analysis =
-      try
-        Workbench.analyse_pepa ~name ?method_:options.method_ ?max_states:options.max_states
-          ~aggregate:options.aggregate ?jobs:options.jobs extraction.Extract.Sc_to_pepa.model
-      with Workbench.Analysis_error msg -> fail "%s" msg
-    in
-    let probabilities =
+  let model = extraction.Extract.Sc_to_pepa.model in
+  (* The steady-state probability of each state constant, computed per
+     chart from its leaf's local distribution, replaces the model-wide
+     state probabilities. *)
+  let per_chart local_probabilities (results : Results.t) =
+    let state_probabilities =
       List.concat_map
-        (fun (_chart, leaf) -> Workbench.local_probabilities analysis ~leaf)
+        (fun (_chart, leaf) -> local_probabilities ~leaf)
         extraction.Extract.Sc_to_pepa.chart_leaf
     in
-    let results =
-      {
-        analysis.Workbench.results with
-        Results.state_probabilities = probabilities;
-        Results.warnings = analysis.Workbench.results.Results.warnings @ extra_warnings;
-      }
-    in
-    (probabilities, results)
+    { results with Results.state_probabilities }
   in
-  let probabilities, results =
-    match options.fluid with
-    | None -> exact ()
-    | Some tolerances -> (
-        match
-          Workbench.analyse_pepa_fluid ~name ~tolerances extraction.Extract.Sc_to_pepa.model
-        with
-        | analysis ->
-            let probabilities =
-              List.concat_map
-                (fun (_chart, leaf) -> Workbench.fluid_local_probabilities analysis ~leaf)
-                extraction.Extract.Sc_to_pepa.chart_leaf
-            in
-            ( probabilities,
-              {
-                analysis.Workbench.fluid_results with
-                Results.state_probabilities = probabilities;
-              } )
-        | exception Workbench.Analysis_error msg ->
-            exact ~extra_warnings:[ exact_fallback_warning msg ] ())
+  let results =
+    exact_or_fluid options
+      ~exact:(fun () ->
+        let analysis =
+          Workbench.analyse_pepa ~name ?method_:options.method_ ?max_states:options.max_states
+            ~aggregate:options.aggregate ?jobs:options.jobs model
+        in
+        per_chart (Workbench.local_probabilities analysis) analysis.Workbench.results)
+      ~fluid:(fun tolerances ->
+        let analysis = Workbench.analyse_pepa_fluid ~name ~tolerances model in
+        per_chart
+          (Workbench.fluid_local_probabilities analysis)
+          analysis.Workbench.fluid_results)
   in
   let reflected_charts =
     Extract.Reflector.reflect_statecharts extraction
-      ?approximation:results.Results.approximation ~probabilities charts
+      ?approximation:results.Results.approximation
+      ~probabilities:results.Results.state_probabilities charts
   in
   (reflected_charts, extraction, results)
 

@@ -317,9 +317,9 @@ let partition t ~respect columns =
 
 let lump_partition t ~respect = partition t ~respect (lazy (transition_columns t))
 
-let steady_state ?method_ ?options ?(lump = false) ?jobs ~respect t =
+let steady_state ?method_ ?options ?initial ?(lump = false) ?jobs ~respect t =
   let solve chain = Markov.Steady.solve ?method_ ?options ?jobs chain in
-  if not lump then solve (ctmc t)
+  if not lump then Markov.Steady.solve ?method_ ?options ?initial ?jobs (ctmc t)
   else begin
     let columns = lazy (transition_columns t) in
     let part = partition t ~respect columns in

@@ -124,6 +124,7 @@ val lump_partition : 'l t -> respect:(unit -> int array) -> Markov.Lump.t
 val steady_state :
   ?method_:Markov.Steady.method_ ->
   ?options:Markov.Steady.options ->
+  ?initial:float array ->
   ?lump:bool ->
   ?jobs:int ->
   respect:(unit -> int array) ->
@@ -132,7 +133,8 @@ val steady_state :
 (** With [~lump:true] the solve runs on the lumped quotient and is
     disaggregated uniformly within each class; the transition columns
     are expanded once for the refinement and the quotient together.
-    Chains the refinement cannot compress solve directly. *)
+    Chains the refinement cannot compress solve directly.  [initial]
+    warm-starts the unlumped solve and is ignored with [~lump:true]. *)
 
 val transient : 'l t -> time:float -> float array
 (** Transient distribution from the initial state. *)

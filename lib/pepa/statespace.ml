@@ -120,8 +120,8 @@ let lump_respect t () =
 
 let lump_partition t = Lts.lump_partition t.lts ~respect:(lump_respect t)
 
-let steady_state ?method_ ?options ?lump ?jobs t =
-  Lts.steady_state ?method_ ?options ?lump ?jobs ~respect:(lump_respect t) t.lts
+let steady_state ?method_ ?options ?initial ?lump ?jobs t =
+  Lts.steady_state ?method_ ?options ?initial ?lump ?jobs ~respect:(lump_respect t) t.lts
 
 let transient t ~time = Lts.transient t.lts ~time
 

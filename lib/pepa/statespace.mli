@@ -99,6 +99,7 @@ val lump_partition : t -> Markov.Lump.t
 val steady_state :
   ?method_:Markov.Steady.method_ ->
   ?options:Markov.Steady.options ->
+  ?initial:float array ->
   ?lump:bool ->
   ?jobs:int ->
   t ->

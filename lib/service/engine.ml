@@ -9,26 +9,11 @@ let stage_hits = Obs.Metrics.counter "cache_stage_hits"
    re-run — the counter the acceptance smoke test watches climb on a
    repeated solve. *)
 
-(* Stage artefacts.  One constructor per cached stage output; the memo
-   table maps a stage key (stage name + the normalised options that
-   affect it) to one of these. *)
-type art =
-  | A_pepa_model of Pepa.Syntax.model
-  | A_net_model of Pepanet.Net.t
-  | A_document of Xml_kit.Minixml.t
-  | A_pepa_compiled of Pepa.Compile.t * string list
-  | A_net_compiled of Pepanet.Net_compile.t
-  | A_pepa_space of Pepa.Statespace.t
-  | A_net_space of Pepanet.Net_statespace.t
-  | A_pepa_form of Fluid.Vector_form.t
-  | A_net_form of Fluid.Net_form.t
-  | A_pepa_solved of W.pepa_analysis * string  (** analysis + stderr diagnostics *)
-  | A_net_solved of W.net_analysis * string
-  | A_pepa_fluid_solved of W.fluid_analysis
-  | A_net_fluid_solved of W.net_fluid_analysis
-  | A_outcome of Choreographer.Pipeline.outcome * string
+(* A memo table holds the artefacts of every stage run for one model
+   source, each with the type identity it was stored under. *)
+type artefact = Artefact : 'a Type.Id.t * 'a -> artefact
 
-type entry = { lock : Mutex.t; mutable memo : (string * art) list }
+type entry = { lock : Mutex.t; mutable memo : (string * artefact) list }
 
 type t = {
   cache : entry Cache.t;
@@ -70,175 +55,43 @@ let timed stages label f =
   stages := (label, Unix.gettimeofday () -. t0) :: !stages;
   v
 
-(* Look a stage up in the entry's memo, running [build] (timed, under
-   the given stage label) on a miss.  A hit records no stage time —
-   skipped work is exactly what the ledger's missing stages and the
-   [cache_stage_hits] counter communicate. *)
-let memo entry stages ~stage ~key ~project ~inject build =
-  match Option.bind (List.assoc_opt key entry.memo) project with
-  | Some v ->
-      Obs.Metrics.incr stage_hits;
-      v
-  | None ->
-      let v = timed stages stage build in
-      entry.memo <- (key, inject v) :: List.remove_assoc key entry.memo;
-      v
+let stored : type a. a Type.Id.t -> artefact -> a option =
+ fun id (Artefact (id', v)) ->
+  match Type.Id.provably_equal id id' with Some Type.Equal -> Some v | None -> None
+
+(* The hook the workbench compositions run their stages through: look a
+   stage up in the entry's memo, running [build] (timed, under the given
+   stage label) on a miss.  A hit records no stage time; skipped work is
+   exactly what the ledger's missing stages and the [cache_stage_hits]
+   counter communicate. *)
+let memo entry stages =
+  {
+    W.run =
+      (fun id ~stage ~key build ->
+        match Option.bind (List.assoc_opt key entry.memo) (stored id) with
+        | Some v ->
+            Obs.Metrics.incr stage_hits;
+            v
+        | None ->
+            let v = timed stages stage build in
+            entry.memo <- (key, Artefact (id, v)) :: List.remove_assoc key entry.memo;
+            v);
+  }
 
 let opt_int = function None -> "-" | Some n -> string_of_int n
 
-let solver_diagnostics () =
-  match Markov.Steady.last_stats () with
-  | Some stats -> Render.solver_stats_line stats
-  | None -> ""
+let diagnostics stats = Option.fold ~none:"" ~some:Render.solver_stats_line stats
 
-(* ------------------------------------------------------------------ *)
-(* Cached stage pipelines                                              *)
-(* ------------------------------------------------------------------ *)
+let document_id = Type.Id.make ()
+let outcome_id = Type.Id.make ()
 
-let pepa_model entry stages ~name ~source =
-  memo entry stages ~stage:"parse" ~key:"pepa-model"
-    ~project:(function A_pepa_model m -> Some m | _ -> None)
-    ~inject:(fun m -> A_pepa_model m)
-    (fun () -> W.parse_pepa ~name source)
-
-let net_model entry stages ~name ~source =
-  memo entry stages ~stage:"parse" ~key:"net-model"
-    ~project:(function A_net_model n -> Some n | _ -> None)
-    ~inject:(fun n -> A_net_model n)
-    (fun () -> W.parse_net ~name source)
-
-let pepa_compiled entry stages ~name ~source =
-  let model = pepa_model entry stages ~name ~source in
-  memo entry stages ~stage:"compile" ~key:"pepa-compile"
-    ~project:(function A_pepa_compiled (c, w) -> Some (c, w) | _ -> None)
-    ~inject:(fun (c, w) -> A_pepa_compiled (c, w))
-    (fun () -> W.compile_pepa ~name model)
-
-let net_compiled entry stages ~name ~source =
-  let net = net_model entry stages ~name ~source in
-  memo entry stages ~stage:"compile" ~key:"net-compile"
-    ~project:(function A_net_compiled c -> Some c | _ -> None)
-    ~inject:(fun c -> A_net_compiled c)
-    (fun () -> W.compile_net ~name net)
-
-(* Exact solve of a cached PEPA model: derive (keyed by symmetry and
-   the state cap — not by jobs, exploration is sequential), then solve
-   (keyed by method and lumping). *)
-let pepa_analysis entry stages ~name ~source ~(options : Protocol.options) =
-  let compiled, warnings = pepa_compiled entry stages ~name ~source in
-  let symmetry = Markov.Lump.symmetry_enabled options.Protocol.aggregate in
-  let space =
-    memo entry stages ~stage:"derive"
-      ~key:
-        (Printf.sprintf "pepa-space:sym=%b:max=%s" symmetry
-           (opt_int options.Protocol.max_states))
-      ~project:(function A_pepa_space s -> Some s | _ -> None)
-      ~inject:(fun s -> A_pepa_space s)
-      (fun () ->
-        W.pepa_space ~name ?max_states:options.Protocol.max_states ~symmetry compiled)
+let pipeline_outcome memo ~name ~source ~rates ~(options : Protocol.options) =
+  let doc =
+    memo.W.run document_id ~stage:"ingest" ~key:"document" (fun () ->
+        match Choreographer.Ingest.document_of_string ~name source with
+        | Ok doc -> doc
+        | Error msg -> raise (Ingest_failure msg))
   in
-  let lump = Markov.Lump.lumping_enabled options.Protocol.aggregate in
-  memo entry stages ~stage:"solve"
-    ~key:
-      (Printf.sprintf "pepa-solved:sym=%b:max=%s:method=%s:lump=%b" symmetry
-         (opt_int options.Protocol.max_states)
-         (Protocol.method_to_string options.Protocol.method_)
-         lump)
-    ~project:(function A_pepa_solved (a, d) -> Some (a, d) | _ -> None)
-    ~inject:(fun (a, d) -> A_pepa_solved (a, d))
-    (fun () ->
-      let distribution =
-        W.solve_pepa ~name ?method_:options.Protocol.method_ ~jobs:options.Protocol.jobs
-          ~lump space
-      in
-      let diagnostics = solver_diagnostics () in
-      let results = W.pepa_results ~name ~warnings space distribution in
-      ({ W.space; distribution; results }, diagnostics))
-
-let net_analysis entry stages ~name ~source ~(options : Protocol.options) =
-  let compiled = net_compiled entry stages ~name ~source in
-  let symmetry = Markov.Lump.symmetry_enabled options.Protocol.aggregate in
-  let space =
-    memo entry stages ~stage:"derive"
-      ~key:
-        (Printf.sprintf "net-space:sym=%b:max=%s" symmetry
-           (opt_int options.Protocol.max_states))
-      ~project:(function A_net_space s -> Some s | _ -> None)
-      ~inject:(fun s -> A_net_space s)
-      (fun () ->
-        W.net_space ~name ?max_markings:options.Protocol.max_states ~symmetry compiled)
-  in
-  let lump = Markov.Lump.lumping_enabled options.Protocol.aggregate in
-  memo entry stages ~stage:"solve"
-    ~key:
-      (Printf.sprintf "net-solved:sym=%b:max=%s:method=%s:lump=%b" symmetry
-         (opt_int options.Protocol.max_states)
-         (Protocol.method_to_string options.Protocol.method_)
-         lump)
-    ~project:(function A_net_solved (a, d) -> Some (a, d) | _ -> None)
-    ~inject:(fun (a, d) -> A_net_solved (a, d))
-    (fun () ->
-      let net_distribution =
-        W.solve_net ~name ?method_:options.Protocol.method_ ~jobs:options.Protocol.jobs
-          ~lump space
-      in
-      let diagnostics = solver_diagnostics () in
-      let net_results =
-        W.net_results ~name
-          ~warnings:(Pepanet.Net_compile.warnings compiled)
-          space net_distribution
-      in
-      ({ W.net_space = space; net_distribution; net_results }, diagnostics))
-
-let pepa_fluid_analysis entry stages ~name ~source ~tolerances =
-  let compiled, warnings = pepa_compiled entry stages ~name ~source in
-  let form =
-    memo entry stages ~stage:"derive" ~key:"pepa-fluid-form"
-      ~project:(function A_pepa_form f -> Some f | _ -> None)
-      ~inject:(fun f -> A_pepa_form f)
-      (fun () -> W.pepa_fluid_form ~name compiled)
-  in
-  memo entry stages ~stage:"integrate"
-    ~key:(Printf.sprintf "pepa-fluid-solved:%s" (Protocol.fluid_to_string (Some tolerances)))
-    ~project:(function A_pepa_fluid_solved a -> Some a | _ -> None)
-    ~inject:(fun a -> A_pepa_fluid_solved a)
-    (fun () ->
-      let populations, fluid_stats = W.integrate_pepa_form ~tolerances form in
-      let fluid_results = W.pepa_fluid_results ~name ~warnings form populations in
-      { W.form; populations; fluid_stats; fluid_results })
-
-let net_fluid_analysis entry stages ~name ~source ~tolerances =
-  let compiled = net_compiled entry stages ~name ~source in
-  let form =
-    memo entry stages ~stage:"derive" ~key:"net-fluid-form"
-      ~project:(function A_net_form f -> Some f | _ -> None)
-      ~inject:(fun f -> A_net_form f)
-      (fun () -> W.net_fluid_form ~name compiled)
-  in
-  memo entry stages ~stage:"integrate"
-    ~key:(Printf.sprintf "net-fluid-solved:%s" (Protocol.fluid_to_string (Some tolerances)))
-    ~project:(function A_net_fluid_solved a -> Some a | _ -> None)
-    ~inject:(fun a -> A_net_fluid_solved a)
-    (fun () ->
-      let net_populations, net_fluid_stats = W.integrate_net_form ~tolerances form in
-      let net_fluid_results =
-        W.net_fluid_results ~name
-          ~warnings:(Pepanet.Net_compile.warnings compiled)
-          form net_populations
-      in
-      { W.net_form = form; net_populations; net_fluid_stats; net_fluid_results })
-
-let document entry stages ~name ~source =
-  memo entry stages ~stage:"ingest" ~key:"document"
-    ~project:(function A_document d -> Some d | _ -> None)
-    ~inject:(fun d -> A_document d)
-    (fun () ->
-      match Choreographer.Ingest.document_of_string ~name source with
-      | Ok doc -> doc
-      | Error msg -> raise (Ingest_failure msg))
-
-let pipeline_outcome entry stages ~name ~source ~rates ~(options : Protocol.options) =
-  let doc = document entry stages ~name ~source in
   let rates_book =
     match rates with
     | None -> Uml.Rates_file.empty
@@ -250,7 +103,7 @@ let pipeline_outcome entry stages ~name ~source ~rates ~(options : Protocol.opti
   let rates_hash =
     match rates with None -> "-" | Some src -> Digest.to_hex (Digest.string src)
   in
-  memo entry stages ~stage:"pipeline"
+  memo.W.run outcome_id ~stage:"pipeline"
     ~key:
       (Printf.sprintf "pipeline:restart=%s:method=%s:max=%s:agg=%s:fluid=%s:rates=%s"
          (match options.Protocol.restart with `Cycle -> "cycle" | `Absorb -> "absorb")
@@ -259,15 +112,13 @@ let pipeline_outcome entry stages ~name ~source ~rates ~(options : Protocol.opti
          (Markov.Lump.mode_to_string options.Protocol.aggregate)
          (Protocol.fluid_to_string options.Protocol.fluid)
          rates_hash)
-    ~project:(function A_outcome (o, d) -> Some (o, d) | _ -> None)
-    ~inject:(fun (o, d) -> A_outcome (o, d))
     (fun () ->
       let outcome =
         Choreographer.Pipeline.process_document
           ~options:(Protocol.pipeline_options ~rates:rates_book options)
           doc
       in
-      (outcome, solver_diagnostics ()))
+      (outcome, diagnostics (Markov.Steady.last_stats ())))
 
 (* ------------------------------------------------------------------ *)
 (* Verbs                                                               *)
@@ -305,6 +156,12 @@ let handle t request =
   with_lock t.count_lock (fun () -> t.request_count <- t.request_count + 1);
   Obs.Metrics.incr requests;
   let stages = ref [] in
+  (* Run [f] under the lock of the cache entry for [key], with the hook
+     that serves that entry's stages. *)
+  let cached key f =
+    let entry, _ = Cache.find_or_create t.cache ~key fresh_entry in
+    with_lock entry.lock (fun () -> f (memo entry stages))
+  in
   let tool, model_name, model_hash, option_pairs, work =
     match request with
     | Protocol.Stats ->
@@ -316,30 +173,30 @@ let handle t request =
         let pairs =
           Protocol.option_pairs options @ [ ("kind", Protocol.kind_to_string kind) ]
         in
+        let { Protocol.method_; max_states; aggregate; jobs; _ } = options in
+        let input = W.Source source in
         let work () =
-          let entry, _ = Cache.find_or_create t.cache ~key:(entry_key kind source) fresh_entry in
-          with_lock entry.lock (fun () ->
+          cached (entry_key kind source) (fun memo ->
               match (kind, options.Protocol.fluid) with
               | Protocol.Pepa, None ->
-                  let analysis, diagnostics =
-                    pepa_analysis entry stages ~name ~source ~options
+                  let analysis, stats =
+                    W.pepa_exact ~memo ~name ?method_ ?max_states ~aggregate ~jobs input
                   in
-                  ok ~output:(Render.pepa_solve analysis) ~diagnostics ()
+                  ok ~output:(Render.pepa_solve analysis) ~diagnostics:(diagnostics stats) ()
               | Protocol.Pepa, Some tolerances ->
-                  let analysis =
-                    pepa_fluid_analysis entry stages ~name ~source ~tolerances
-                  in
+                  let analysis = W.pepa_fluid ~memo ~name ~tolerances input in
                   ok
                     ~output:(Render.pepa_fluid_solve analysis)
                     ~diagnostics:(Render.fluid_stats_line analysis.W.fluid_stats)
                     ()
               | Protocol.Net, None ->
-                  let analysis, diagnostics =
-                    net_analysis entry stages ~name ~source ~options
+                  let analysis, stats =
+                    W.net_exact ~memo ~name ?method_ ?max_markings:max_states ~aggregate ~jobs
+                      input
                   in
-                  ok ~output:(Render.net_solve analysis) ~diagnostics ()
+                  ok ~output:(Render.net_solve analysis) ~diagnostics:(diagnostics stats) ()
               | Protocol.Net, Some tolerances ->
-                  let analysis = net_fluid_analysis entry stages ~name ~source ~tolerances in
+                  let analysis = W.net_fluid ~memo ~name ~tolerances input in
                   ok
                     ~output:(Render.net_fluid_solve analysis)
                     ~diagnostics:(Render.fluid_stats_line analysis.W.net_fluid_stats)
@@ -353,20 +210,22 @@ let handle t request =
           Protocol.option_pairs options
           @ [ ("kind", Protocol.kind_to_string kind); ("query", query) ]
         in
+        let { Protocol.method_; max_states; aggregate; jobs; _ } = options in
+        let input = W.Source source in
         let work () =
-          let entry, _ = Cache.find_or_create t.cache ~key:(entry_key kind source) fresh_entry in
-          with_lock entry.lock (fun () ->
+          cached (entry_key kind source) (fun memo ->
               (* Queries evaluate against the exact solve, as the CLI
                  does; a fluid option on a query request is ignored. *)
-              let options = { options with Protocol.fluid = None } in
               let context =
                 match kind with
                 | Protocol.Pepa ->
-                    let analysis, _ = pepa_analysis entry stages ~name ~source ~options in
-                    Choreographer.Query.context_of_pepa analysis
+                    Choreographer.Query.context_of_pepa
+                      (fst (W.pepa_exact ~memo ~name ?method_ ?max_states ~aggregate ~jobs input))
                 | Protocol.Net ->
-                    let analysis, _ = net_analysis entry stages ~name ~source ~options in
-                    Choreographer.Query.context_of_net analysis
+                    Choreographer.Query.context_of_net
+                      (fst
+                         (W.net_exact ~memo ~name ?method_ ?max_markings:max_states ~aggregate
+                            ~jobs input))
               in
               let value =
                 timed stages "query" (fun () ->
@@ -386,13 +245,8 @@ let handle t request =
         (* [reflect] is [pipeline] without the result tables. *)
         let tables = match request with Protocol.Pipeline _ -> true | _ -> false in
         let work () =
-          let entry, _ =
-            Cache.find_or_create t.cache ~key:("doc:" ^ Digest.string source) fresh_entry
-          in
-          with_lock entry.lock (fun () ->
-              let outcome, diagnostics =
-                pipeline_outcome entry stages ~name ~source ~rates ~options
-              in
+          cached ("doc:" ^ Digest.string source) (fun memo ->
+              let outcome, diagnostics = pipeline_outcome memo ~name ~source ~rates ~options in
               let results = outcome.Choreographer.Pipeline.results in
               let xml_field key doc = (key, Obs.Json.Str (Xml_kit.Minixml.to_string doc)) in
               let reflected = xml_field "reflected" outcome.Choreographer.Pipeline.reflected in
@@ -437,11 +291,8 @@ let handle t request =
                 message = "error: sweep supports PEPA models (use kind pepa)\n";
               }
           else begin
-            let entry, _ =
-              Cache.find_or_create t.cache ~key:(entry_key kind source) fresh_entry
-            in
-            with_lock entry.lock (fun () ->
-                let model = pepa_model entry stages ~name ~source in
+            cached (entry_key kind source) (fun memo ->
+                let model = W.pepa_model ~memo ~name source in
                 let result =
                   timed stages "sweep" (fun () ->
                       Sweep.run ~name ~model ~options ~axes ~backend ~warm_start)

@@ -4,11 +4,17 @@
     single request on a fresh one, so both share one stage graph and
     one error contract.
 
-    Models are cached under the MD5 of their source (per kind), and
-    each cache entry holds the compiled artefact of every stage already
-    run for it — parsed AST, compiled component tree, derived state
-    space, solved analysis — keyed by the normalised options that
-    affect that stage.  A repeated request re-runs nothing; a request
+    The engine composes no analysis itself: [solve], [query] and
+    [sweep] run the {!Choreographer.Workbench} compositions, and only
+    supply their memo hook ({!Choreographer.Workbench.memo}).  Models
+    are cached under the MD5 of their source (per kind); a cache entry
+    is a lock and the table behind the hook, holding the artefact of
+    every stage already run for the model — parsed AST, compiled
+    component tree, derived state space, solved analysis — under the
+    stage key the composition gives it.  The hook times the stages it
+    runs and counts the ones it serves on ["cache_stage_hits"]; UML
+    documents get two stages of the engine's own, ["ingest"] and
+    ["pipeline"], through the same hook.  A repeated request re-runs nothing; a request
     that changes only the solve method reuses the derived state space;
     a source change misses the cache entirely.  State spaces are
     deliberately {e not} keyed by job count (exploration is sequential

@@ -43,8 +43,6 @@ let ensure_parent_dir path =
    the request head, answers, and lets the caller close the socket
    (HTTP/1.0-style one exchange per connection is all curl needs). *)
 let serve_http fd =
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0
-   with Unix.Unix_error _ -> ());
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 1024 in
   (* Head terminator: blank line, tolerating bare LF from hand-rolled
@@ -198,10 +196,17 @@ let process t payload =
       (match request with Protocol.Shutdown -> initiate_stop t | _ -> ());
       outcome.Engine.response
 
+(* Every read on a connection, framed or HTTP, gives up after this long
+   without a byte.  A client that connects and goes quiet is closed
+   and its worker freed, so N idle sockets cannot lock out a daemon
+   with N workers. *)
+let read_deadline_s = 5.0
+
 let handle_connection t fd =
   let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
   Fun.protect ~finally @@ fun () ->
   try
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_deadline_s;
     let rec loop () =
       match Frame.read_exact fd 4 with
       | None -> ()

@@ -25,6 +25,11 @@ type config = {
                                [None] disables recording *)
 }
 
+val read_deadline_s : float
+(** Seconds a connection may wait between bytes of a request (5):
+    every read, framed or HTTP, gives up after this long, and the
+    connection is closed and its worker freed. *)
+
 val default_socket_path : unit -> string
 (** [$CHOREOGRAPHER_SOCKET] if set, else [~/.choreographer/daemon.sock]. *)
 

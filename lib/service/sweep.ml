@@ -9,8 +9,9 @@ type point = {
 
 type result = { points : point list; total_s : float }
 
-let fail fmt =
-  Printf.ksprintf (fun msg -> raise (Choreographer.Workbench.Analysis_error msg)) fmt
+module W = Choreographer.Workbench
+
+let fail fmt = Printf.ksprintf (fun msg -> raise (W.Analysis_error msg)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Model rewriting                                                     *)
@@ -92,80 +93,70 @@ let target_name = function `Rate n -> n | `Replicas n -> n
 
 let run ~name ~model ~(options : Protocol.options) ~axes ~backend ~warm_start =
   let t_start = Unix.gettimeofday () in
+  let { Protocol.method_; max_states; jobs; _ } = options in
   let symmetry = Markov.Lump.symmetry_enabled options.Protocol.aggregate in
-  (* The previous point's solution, reused as a starting vector when
-     the dimension still matches (rate moves keep it; replica moves
-     change the chain and fall back to cold). *)
+  (* The exact backend solves the full chain, the lumped one the
+     quotient, both on the space the request's aggregation derives. *)
+  let aggregate ~lump =
+    match (symmetry, lump) with
+    | false, false -> Markov.Lump.No_agg
+    | true, false -> Markov.Lump.Symmetry
+    | false, true -> Markov.Lump.Lumping
+    | true, true -> Markov.Lump.Both
+  in
+  (* The previous point's solution, passed to the solve stage as its
+     starting vector after a rate move.  A replica move starts cold: it
+     changes the chain's dimension, and the fluid populations keep
+     theirs but hold the old replica counts, from which the ODE would
+     converge to the old fixed point.  The lumped backend always solves
+     cold. *)
+  let replicas = List.filter (function `Replicas _, _ -> true | `Rate _, _ -> false) in
   let previous = ref None in
+  let start assignment =
+    match !previous with
+    | Some (counts, x) when warm_start && counts = replicas assignment -> Some x
+    | _ -> None
+  in
+  let warm start dim = match start with Some x -> Array.length x = dim | None -> false in
   let points =
     List.map
       (fun assignment ->
         let t0 = Unix.gettimeofday () in
-        let point_model = List.fold_left (apply_axis ~name) model assignment in
-        let compiled, _warnings = Choreographer.Workbench.compile_pepa ~name point_model in
-        let n_states, iterations, warm, throughputs =
+        let point_model = W.Model (List.fold_left (apply_axis ~name) model assignment) in
+        let results, iterations, warm =
           match backend with
-          | Protocol.Exact ->
-              let space =
-                Choreographer.Workbench.pepa_space ~name ?max_states:options.Protocol.max_states
-                  ~symmetry compiled
+          | Protocol.Exact | Protocol.Lump ->
+              let lump = backend = Protocol.Lump in
+              let initial = if lump then None else start assignment in
+              let analysis, stats =
+                W.pepa_exact ~name ?method_ ?max_states ~aggregate:(aggregate ~lump) ~jobs
+                  ?initial point_model
               in
-              let n = Pepa.Statespace.n_states space in
-              let initial =
-                match !previous with
-                | Some prev when warm_start && Array.length prev = n -> Some prev
-                | _ -> None
-              in
-              let pi, stats =
-                Markov.Steady.solve_stats ?method_:options.Protocol.method_ ?initial
-                  ~jobs:options.Protocol.jobs
-                  (Pepa.Statespace.ctmc space)
-              in
-              previous := Some pi;
-              (n, stats.Markov.Steady.iterations, initial <> None,
-               Pepa.Statespace.throughputs space pi)
-          | Protocol.Lump ->
-              let space =
-                Choreographer.Workbench.pepa_space ~name ?max_states:options.Protocol.max_states
-                  ~symmetry compiled
-              in
-              let pi =
-                Choreographer.Workbench.solve_pepa ~name ?method_:options.Protocol.method_
-                  ~jobs:options.Protocol.jobs ~lump:true space
-              in
-              previous := None;
-              let iterations =
-                match Markov.Steady.last_stats () with
-                | Some s -> s.Markov.Steady.iterations
-                | None -> 0
-              in
-              (Pepa.Statespace.n_states space, iterations, false,
-               Pepa.Statespace.throughputs space pi)
+              previous :=
+                if lump then None else Some (replicas assignment, analysis.W.distribution);
+              let results = analysis.W.results in
+              ( results,
+                Option.fold ~none:0 ~some:(fun s -> s.Markov.Steady.iterations) stats,
+                warm initial results.Choreographer.Results.n_states )
           | Protocol.Fluid_ode ->
-              let form = Choreographer.Workbench.pepa_fluid_form ~name compiled in
-              let dim = Fluid.Vector_form.dim form in
-              let x0 =
-                match !previous with
-                | Some prev when warm_start && Array.length prev = dim ->
-                    Some (Array.copy prev)
-                | _ -> None
+              let x0 = Option.map Array.copy (start assignment) in
+              let analysis =
+                W.pepa_fluid ~name ?tolerances:options.Protocol.fluid ?x0 point_model
               in
-              let populations, stats =
-                Choreographer.Workbench.integrate_pepa_form
-                  ?tolerances:options.Protocol.fluid ?x0 form
-              in
-              previous := Some populations;
-              (dim, stats.Fluid.Rk45.steps, x0 <> None,
-               Fluid.Vector_form.throughputs form populations)
+              previous := Some (replicas assignment, analysis.W.populations);
+              let results = analysis.W.fluid_results in
+              ( results,
+                analysis.W.fluid_stats.Fluid.Rk45.steps,
+                warm x0 results.Choreographer.Results.n_states )
         in
         {
           assignment =
             List.map (fun (target, v) -> (target_name target, v)) assignment;
-          n_states;
+          n_states = results.Choreographer.Results.n_states;
           iterations;
           warm;
           solve_s = Unix.gettimeofday () -. t0;
-          throughputs;
+          throughputs = results.Choreographer.Results.throughputs;
         })
       (grid axes)
   in

@@ -1,17 +1,20 @@
 (** Batch parameter sweeps over one PEPA model: the cartesian product
     of the request's axes (rate constants redefined per value, replica
     counts rewritten per value), each point solved by the chosen
-    backend, with adjacent points warm-starting each other.
+    backend through the {!Choreographer.Workbench} compositions, with
+    adjacent points warm-starting each other.
 
     Warm starting exploits grid locality: the steady-state distribution
     at one point is an excellent initial vector for the next (exact
-    backend, {!Markov.Steady.solve_stats} [?initial]), and the fluid
-    fixed point an excellent initial condition ({!Fluid.Rk45} [x0]) —
+    backend, {!Choreographer.Workbench.pepa_exact} [?initial]), and the
+    fluid fixed point an excellent initial condition
+    ({!Choreographer.Workbench.pepa_fluid} [?x0]) —
     both converge in a fraction of the cold iteration count while
     reaching the same answer to within solver tolerance (the service
-    tests pin this to 1e-10 on throughputs).  Replica-axis moves change
-    the chain dimension, so those points fall back to a cold start
-    automatically; the lumped backend always solves cold. *)
+    tests pin this to 1e-10 on throughputs).  A point whose replica
+    counts differ from the previous point's starts cold: the exact
+    chain changes dimension, and the fluid populations would carry the
+    old counts.  The lumped backend always solves cold. *)
 
 type point = {
   assignment : (string * float) list;  (** axis name → value, row-major order *)

@@ -79,12 +79,7 @@ let test_xpath_deep_path () =
     (List.length (Xml_kit.Xpath_lite.select "//b/c" doc));
   Alcotest.(check int) "rooted path" 1 (List.length (Xml_kit.Xpath_lite.select "a/b/c" doc))
 
-let test_dtmc_factor_and_rates_bindings () =
-  let c = Markov.Ctmc.of_transitions ~n:2 [ (0, 1, 1.0); (1, 0, 1.0) ] in
-  let u = Markov.Dtmc.uniformised_of_ctmc ~factor:2.0 c in
-  (* self-loop probability 1 - 1/(2*1) = 0.5 *)
-  let after = Markov.Dtmc.step u [| 1.0; 0.0 |] in
-  Alcotest.(check (float 1e-6)) "uniformisation factor respected" 0.5 after.(0);
+let test_rates_bindings () =
   let book = Uml.Rates_file.of_string "x = 1\ny = 2\n" in
   Alcotest.(check (list (pair string (float 0.0)))) "bindings in order"
     [ ("x", 1.0); ("y", 2.0) ]
@@ -127,7 +122,7 @@ let suite =
     Alcotest.test_case "summaries" `Quick test_pp_summaries;
     Alcotest.test_case "xml escapes and fragments" `Quick test_xml_escapes_and_fragments;
     Alcotest.test_case "xpath deep paths" `Quick test_xpath_deep_path;
-    Alcotest.test_case "dtmc factor, rates bindings" `Quick test_dtmc_factor_and_rates_bindings;
+    Alcotest.test_case "rates bindings" `Quick test_rates_bindings;
     Alcotest.test_case "interaction participants" `Quick test_interaction_participants_dedup;
     Alcotest.test_case "text statechart errors" `Quick test_diagram_text_statechart_errors;
     Alcotest.test_case "marking labels show statics" `Quick test_net_marking_label_statics;

@@ -60,29 +60,6 @@ let test_rewards_and_guards () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative time accepted"
 
-let test_dtmc () =
-  let d = Markov.Dtmc.of_rows [| [ (0, 0.5); (1, 0.5) ]; [ (0, 1.0) ] |] in
-  let pi = Markov.Dtmc.steady d in
-  Alcotest.check close "dtmc steady 0" (2.0 /. 3.0) pi.(0);
-  let step = Markov.Dtmc.step d [| 1.0; 0.0 |] in
-  Alcotest.check close "one step" 0.5 step.(1);
-  let after = Markov.Dtmc.distribution_after d ~initial:[| 1.0; 0.0 |] ~steps:50 in
-  Alcotest.(check bool) "iterated step converges" true
-    (Markov.Measures.distribution_distance pi after < 1e-9);
-  (* Uniformised chain of a CTMC has the same steady state. *)
-  let c = two_state 2.0 3.0 in
-  let u = Markov.Dtmc.uniformised_of_ctmc c in
-  Alcotest.(check bool) "uniformised steady state matches" true
-    (Markov.Measures.distribution_distance (Markov.Dtmc.steady u) (Markov.Steady.solve c) < 1e-8);
-  (* Embedded jump chain of the two-state chain alternates: steady state
-     of the jump chain is uniform regardless of rates. *)
-  let e = Markov.Dtmc.embedded_of_ctmc c in
-  let pe = Markov.Dtmc.distribution_after e ~initial:[| 1.0; 0.0 |] ~steps:101 in
-  Alcotest.check close "embedded alternation" 1.0 pe.(1);
-  match Markov.Dtmc.of_rows [| [ (0, 0.4) ] |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unnormalised row accepted"
-
 let test_measures () =
   let pi = [| 0.25; 0.25; 0.5 |] in
   Alcotest.check close "expectation" 1.25
@@ -101,6 +78,5 @@ let suite =
     Alcotest.test_case "convergence to steady state" `Quick test_convergence_to_steady_state;
     Alcotest.test_case "absorbing transient" `Quick test_absorbing_transient;
     Alcotest.test_case "rewards and input guards" `Quick test_rewards_and_guards;
-    Alcotest.test_case "dtmc" `Quick test_dtmc;
     Alcotest.test_case "reward measures" `Quick test_measures;
   ]
